@@ -2,10 +2,10 @@
 
 Tensors wrap numpy arrays in the active precision (32- or 64-bit, selectable
 via ``set_precision`` or the POINTDIFF_PRECISION environment variable).
-Every primitive records a backward rule; ``backward`` walks the recorded
-graph in reverse topological order.  Broadcasting is the usual numpy kind
-restricted in practice to leading batch dimensions; gradients are summed
-back over broadcast axes.
+Every primitive records a backward rule, except inside ``no_grad()``;
+``backward`` walks the recorded graph in reverse topological order.
+Broadcasting is the usual numpy kind restricted in practice to leading batch
+dimensions; gradients are summed back over broadcast axes.
 """
 
 from __future__ import annotations
@@ -120,8 +120,25 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: every primitive returns a plain
+    tensor, as if no input required a gradient.  The previous state is
+    restored on exit, also when the block raises."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward_fn):
-    if any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
@@ -364,14 +381,6 @@ def max_pool(a, axis):
         return [(a, full)]
 
     return _make(data, (a,), bwd)
-
-
-def conv1d_pointwise(x, weight, bias=None):
-    """Shared per-position affine map over the last axis (1x1 convolution)."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # ---------------------------------------------------------------------------

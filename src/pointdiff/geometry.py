@@ -15,6 +15,9 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
 
+# distance-matrix elements per block in nearest_indices (~0.5 MiB at 64-bit)
+_NN_BLOCK_ELEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -85,6 +88,50 @@ def mask_count(ratio, num_groups):
     return int(np.floor(ratio * num_groups + 0.5))
 
 
+def sq_dists(a, b):
+    """Squared distances between the rows of ``a`` (n, 3) and ``b`` (m, 3).
+
+    Returns the (n, m) matrix, accumulated one axis at a time as
+    ``(dx*dx + dy*dy) + dz*dz``.  That is the order in which
+    ``np.sum((a[:, None] - b[None]) ** 2, axis=2)`` adds, so the result is
+    bitwise equal to that dense definition without its (n, m, 3) temporary.
+    This is the only place the library forms point-to-point squared
+    distances, apart from the metrics' einsum path.
+    """
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    for axis in (1, 2):
+        dk = np.subtract.outer(a[:, axis], b[:, axis])
+        dk *= dk
+        d += dk
+    return d
+
+
+def nearest_indices(a, b):
+    """Nearest-neighbour indices both ways: a -> b (n,) and b -> a (m,).
+
+    Equal to ``sq_dists(a, b).argmin(axis=1)`` and ``.argmin(axis=0)`` for
+    finite inputs, ties going to the lowest index, but the matrix is only
+    ever held in blocks of rows of about ``_NN_BLOCK_ELEMS`` elements.  A
+    column's running nearest row moves only when a later block is strictly
+    closer, so the earliest of equally near rows is kept.
+    """
+    n, m = len(a), len(b)
+    rows = max(1, _NN_BLOCK_ELEMS // m)
+    a_to_b = np.empty(n, dtype=np.intp)
+    b_to_a = np.zeros(m, dtype=np.intp)
+    best = np.full(m, np.inf, dtype=np.result_type(a, b))
+    for lo in range(0, n, rows):
+        d = sq_dists(a[lo : lo + rows], b)
+        a_to_b[lo : lo + rows] = d.argmin(axis=1)
+        col_min = d.min(axis=0)
+        closer = col_min < best
+        if closer.any():
+            best[closer] = col_min[closer]
+            b_to_a[closer] = lo + d[:, closer].argmin(axis=0)
+    return a_to_b, b_to_a
+
+
 def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     """Greedy farthest point sampling; returns k point indices.
 
@@ -100,12 +147,11 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     pts = cloud.points
     selected = np.empty(k, dtype=np.int64)
     selected[0] = seed_index
-    min_d2 = np.sum((pts - pts[seed_index]) ** 2, axis=1)
+    min_d2 = sq_dists(pts, pts[seed_index : seed_index + 1])[:, 0]
     for i in range(1, k):
         nxt = int(np.argmax(min_d2))  # argmax takes the first (lowest) index on ties
         selected[i] = nxt
-        d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.minimum(min_d2, sq_dists(pts, pts[nxt : nxt + 1])[:, 0], out=min_d2)
     return selected
 
 
@@ -118,7 +164,7 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     if group_size > n:
         raise InvalidArgument(f"knn_group: group_size={group_size} exceeds cloud size {n}")
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    d2 = np.sum((centers[:, None, :] - cloud.points[None, :, :]) ** 2, axis=2)
+    d2 = sq_dists(centers, cloud.points)
     # stable lexsort on (distance, index) gives the deterministic tie-break
     order = np.argsort(d2, axis=1, kind="stable")
     return order[:, :group_size]
@@ -167,7 +213,7 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
         while len(chain) < m:
             cur = centers[chain[-1]]
             cand = sorted(remaining)
-            d2 = np.sum((centers[cand] - cur) ** 2, axis=1)
+            d2 = sq_dists(centers[cand], cur[None])[:, 0]
             nxt = cand[int(np.argmin(d2))]
             chain.append(nxt)
             remaining.discard(nxt)

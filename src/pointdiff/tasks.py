@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion
+from . import engine as eg
 from .errors import CorruptBlob, InvalidArgument
 from .geometry import (
     MaskSpec,
@@ -39,7 +40,8 @@ _DIGEST_BYTES = 16
 
 def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
                    residual=diffusion.RESIDUAL_SQRT_SIGMA, trace=False):
-    """Run the reverse chain and return per-patch center-relative predictions.
+    """Run the reverse chain, recording no autograd graph, and return
+    per-patch center-relative predictions.
 
     Config 1 predicts the masked patches; Config 2 (``predict_visible``)
     predicts every patch at ``upsample_factor`` density.
@@ -51,8 +53,9 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
     def decoder_fn(x_t, t):
         return model.decode(latent, x_t, t).data.reshape(-1, 3)
 
-    result = diffusion.sample(decoder_fn, n_points, schedule, rng_seed=seed,
-                              residual=residual, trace=trace)
+    with eg.no_grad():
+        result = diffusion.sample(decoder_fn, n_points, schedule, rng_seed=seed,
+                                  residual=residual, trace=trace)
     if trace:
         x0, steps = result
         return x0.reshape(n_patches, cfg.patch_points, 3), steps
@@ -65,8 +68,9 @@ def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0,
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    latent = model.encode(cloud, mask)
-    pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
+    with eg.no_grad():
+        latent = model.encode(cloud, mask)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
     return _assemble_with_predictions(ps, mask, pred, cfg)
 
 
@@ -124,9 +128,10 @@ def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
     indicator[n_visible:] = True
     mask = MaskSpec(indicator=indicator, ratio=cfg.mask_ratio, strategy=MaskStrategy.RANDOM)
 
-    tokens = encode_patches(model.params, vis_ps.patches, vis_ps.centers, cfg)
-    latent = LatentSet(tokens=tokens, centers=centers, mask=mask)
-    pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
+    with eg.no_grad():
+        tokens = encode_patches(model.params, vis_ps.patches, vis_ps.centers, cfg)
+        latent = LatentSet(tokens=tokens, centers=centers, mask=mask)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
 
     patches = np.concatenate(
         [vis_ps.patches, np.zeros((n_masked, cfg.group_size, 3))], axis=0
@@ -147,9 +152,10 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
         cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers
     )
     vis = mask.visible_indices
-    tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
-    latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-    pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
+    with eg.no_grad():
+        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
+        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
     return _assemble_with_predictions(ps, mask, pred, cfg)
 
 
@@ -312,9 +318,10 @@ def decompress(raw: bytes, model: Model, schedule, seed=0,
     vis_patches = blob.visible_points.reshape(vis.size, cfg.group_size, 3)
     vis_rel = vis_patches - blob.centers[vis][:, None, :]
 
-    tokens = encode_patches(model.params, vis_rel, blob.centers[vis], cfg)
-    latent = LatentSet(tokens=tokens, centers=blob.centers, mask=mask)
-    pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
+    with eg.no_grad():
+        tokens = encode_patches(model.params, vis_rel, blob.centers[vis], cfg)
+        latent = LatentSet(tokens=tokens, centers=blob.centers, mask=mask)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
 
     patches = np.zeros((cfg.num_groups, cfg.group_size, 3))
     patches[vis] = vis_rel

@@ -8,6 +8,7 @@ two loss inputs: the entire assembled object or the masked region only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from . import engine as eg
 from .engine import Tensor
 from .diffusion import NoiseSchedule, q_sample
 from .errors import CorruptCheckpoint, InvalidArgument, UnsupportedVersion
-from .geometry import PointCloud, segment
+from .geometry import PointCloud, nearest_indices, segment
 from .model import Model, ModelConfig, decode, encode_patches, encoder_pretrain_head
 
 _MAGIC = b"PDCK"
@@ -63,10 +64,7 @@ def chamfer_loss(pred, target):
     flow through the matched coordinate differences.
     """
     target = np.asarray(target, dtype=pred.data.dtype)
-    p = pred.data
-    d2 = np.sum((p[:, None, :] - target[None, :, :]) ** 2, axis=2)
-    idx_fwd = d2.argmin(axis=1)
-    idx_bwd = d2.argmin(axis=0)
+    idx_fwd, idx_bwd = nearest_indices(pred.data, target)
 
     diff_fwd = eg.sub(pred, Tensor(target[idx_fwd]))
     term_fwd = eg.mean(eg.sum_(eg.mul(diff_fwd, diff_fwd), axis=1))
@@ -248,7 +246,7 @@ def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, mo
                 pred_pts = _pred_to_points(pred, ps.centers[vis])
                 gt_pts = ps.absolute(vis).reshape(-1, 3)
                 losses.append(chamfer_loss(pred_pts, gt_pts))
-            loss = eg.scale(eg.add(losses[0], _sum_rest(losses)), 1.0 / len(losses))
+            loss = _batch_mean(losses)
             grads = eg.backward(loss, enc_params)
             eg.adam_step(enc_params, grads, opt_state, train_cfg.lr)
             eg.zero_grads(enc_params)
@@ -263,11 +261,12 @@ def _mask_key(train_cfg, epoch):
     return epoch // train_cfg.remask_every
 
 
-def _sum_rest(losses):
-    total = Tensor(0.0)
-    for l in losses[1:]:
-        total = eg.add(total, l)
-    return total
+def _batch_mean(losses):
+    """Mean batch loss, summed as (l0 + (l1 + ... + l_{B-1})) / B."""
+    total = losses[0]
+    if len(losses) > 1:
+        total = eg.add(total, functools.reduce(eg.add, losses[1:]))
+    return eg.scale(total, 1.0 / len(losses))
 
 
 def train_decoder(
@@ -322,7 +321,7 @@ def train_decoder(
                         train_cfg, epoch, i
                     )
                 )
-            loss = eg.scale(eg.add(losses[0], _sum_rest(losses)), 1.0 / len(losses))
+            loss = _batch_mean(losses)
             grads = eg.backward(loss, dec_params)
             eg.adam_step(dec_params, grads, opt_state, train_cfg.lr)
             eg.zero_grads(dec_params)

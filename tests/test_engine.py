@@ -172,3 +172,17 @@ def test_grad_accumulates_on_reuse():
     y = eg.add(eg.mul(x, x), eg.mul(x, x))  # 2x^2 -> dy/dx = 4x
     grads = eg.backward(eg.sum_(y), {"x": x})
     assert np.allclose(grads["x"], [8.0])
+
+
+def test_no_grad_records_nothing_and_restores_on_exception():
+    x = eg.parameter(np.array([2.0]), name="x")
+    with eg.no_grad():
+        y = eg.mul(x, x)
+    assert y._parents == () and y._backward is None
+    with pytest.raises(RuntimeError):
+        with eg.no_grad():
+            raise RuntimeError("inside")
+    z = eg.mul(x, x)
+    assert z._parents  # recording is back on after the exception
+    grads = eg.backward(eg.sum_(z), {"x": x})
+    assert np.allclose(grads["x"], [4.0])

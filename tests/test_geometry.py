@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdiff import geometry as geo
 from pointdiff.errors import InvalidArgument
@@ -144,3 +148,70 @@ def test_build_kdtree_agrees_with_brute(rng):
     _, idx = tree.query(queries)
     d2 = np.sum((queries[:, None] - pts[None]) ** 2, axis=2)
     assert np.array_equal(idx, d2.argmin(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# exact squared-distance kernel and the blocked nearest-index search, against
+# the dense np.sum + argmin definition
+
+
+def _dense_d2(a, b):
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
+def _assert_nearest_matches_dense(a, b):
+    d2 = _dense_d2(a, b)
+    a_to_b, b_to_a = geo.nearest_indices(a, b)
+    assert np.array_equal(a_to_b, d2.argmin(axis=1))
+    assert np.array_equal(b_to_a, d2.argmin(axis=0))
+
+
+_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
+_grid = st.integers(min_value=-2, max_value=2).map(float)  # duplicates and ties
+
+
+def _clouds(elements, max_points=40):
+    return st.integers(1, max_points).flatmap(
+        lambda n: st.lists(st.tuples(elements, elements, elements), min_size=n, max_size=n)
+    ).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clouds(_coords), _clouds(_coords), st.sampled_from([np.float64, np.float32]))
+def test_sq_dists_bitwise_equals_dense_sum(a, b, dtype):
+    a, b = a.astype(dtype), b.astype(dtype)
+    d2 = geo.sq_dists(a, b)
+    assert d2.dtype == dtype
+    assert np.array_equal(d2, _dense_d2(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_clouds(_grid), _clouds(_grid), st.integers(1, 50))
+def test_nearest_indices_ties_go_to_lowest_index(a, b, block_elems):
+    # grid points repeat, so most rows and columns have several equal minima;
+    # small block budgets put them in different blocks
+    with mock.patch.object(geo, "_NN_BLOCK_ELEMS", block_elems):
+        _assert_nearest_matches_dense(a, b)
+    _assert_nearest_matches_dense(a, b)
+
+
+def test_nearest_indices_one_by_one():
+    a = np.array([[0.5, -1.0, 2.0]])
+    b = np.array([[3.0, 0.0, 0.0]])
+    a_to_b, b_to_a = geo.nearest_indices(a, b)
+    assert a_to_b.tolist() == [0] and b_to_a.tolist() == [0]
+
+
+def test_nearest_indices_rows_not_a_multiple_of_block_rows(rng):
+    m = 512  # -> 128 rows per block; 300 rows leave a partial last block
+    a = rng.normal(size=(300, 3))
+    b = rng.normal(size=(m, 3))
+    assert geo._NN_BLOCK_ELEMS // m == 128
+    _assert_nearest_matches_dense(a, b)
+
+
+def test_nearest_indices_one_row_blocks_above_the_budget(rng):
+    m = geo._NN_BLOCK_ELEMS + 3  # one row per block
+    b = np.round(rng.normal(size=(m, 3)), 1)
+    a = np.concatenate([b[[5, 5, m - 1]], np.round(rng.normal(size=(4, 3)), 1)])
+    _assert_nearest_matches_dense(a, b)

@@ -1,8 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from conftest import toy_config
-from pointdiff import data_io, diffusion, tasks
+from pointdiff import data_io, diffusion, engine as eg, tasks
 from pointdiff.errors import CorruptBlob, InvalidArgument
 from pointdiff.geometry import mask_count, segment
 from pointdiff.model import Model
@@ -194,3 +196,32 @@ def test_decompress_validates_mask_count(sphere_cloud):
     blob = tasks.compress(sphere_cloud, toy_config(), mask_seed=1)  # ratio 0.75
     with pytest.raises(InvalidArgument):
         tasks.decompress(blob, model, schedule)
+
+
+def test_no_grad_decode_output_has_no_parents(sphere_cloud, rng):
+    model, _ = make_model()
+    cfg = model.cfg
+    ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
+    mask = model.draw_mask(1, centers=ps.centers)
+    x_t = rng.normal(size=(mask.masked_indices.size * cfg.patch_points, 3))
+    assert model.decode(model.encode(sphere_cloud, mask), x_t, 1)._parents
+    with eg.no_grad():
+        pred = model.decode(model.encode(sphere_cloud, mask), x_t, 1)
+    assert pred._parents == ()
+
+
+def test_reconstruct_bitwise_equal_without_no_grad(sphere_cloud, monkeypatch):
+    model, schedule = make_model()
+    tape_free = tasks.reconstruct(sphere_cloud, model, schedule, seed=2)
+    monkeypatch.setattr(eg, "no_grad", contextlib.nullcontext)
+    recorded = []
+    decode = model.decode
+
+    def recording_decode(*args):
+        recorded.append(decode(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(model, "decode", recording_decode)
+    taped = tasks.reconstruct(sphere_cloud, model, schedule, seed=2)
+    assert recorded and all(out._parents for out in recorded)
+    assert np.array_equal(tape_free.points, taped.points)

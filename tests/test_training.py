@@ -210,3 +210,12 @@ def test_curve_to_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,loss"
     assert float(lines[1].split(",")[1]) == 0.5
+
+
+def test_batch_mean_order_and_batch_of_one():
+    l0, l1, l2 = (Tensor(np.array(v)) for v in (0.1, 0.2, 0.3))
+    assert training._batch_mean([l0, l1, l2]).item() == (0.1 + (0.2 + 0.3)) * (1.0 / 3)
+    assert training._batch_mean([l0]).item() == 0.1
+    cfg = toy_config()
+    _, curve = training.pretrain_encoder(tiny_dataset(), cfg, TrainConfig(epochs=2, batch_size=1))
+    assert len(curve) == 2 and all(np.isfinite(curve))

@@ -18,13 +18,14 @@ from pathlib import Path
 
 
 from . import __version__, data_io, diffusion, metrics, tasks, training
+from . import engine as eg
 from .errors import PointdiffError
-from .geometry import PointCloud
-from .model import Model, ModelConfig
+from .geometry import PointCloud, segment
+from .model import LatentSet, Model, ModelConfig, encode_patches
 from .training import TrainConfig
 
 _SCHEDULE_KEYS = {"timesteps", "beta_start", "beta_end", "residual"}
-_RUN_KEYS = {"manifest", "target_points", "out_dir", "seed", "grid", "visible_fraction"}
+_RUN_KEYS = {"manifest", "target_points", "out_dir"}
 
 
 class UsageError(PointdiffError):
@@ -79,7 +80,7 @@ def _build_dataclass(cls, raw, overrides):
 
 
 def _schedule_from(raw, args):
-    T = int(getattr(args, "timesteps", None) or raw.get("timesteps", 200))
+    T = int(args.timesteps or raw.get("timesteps", 200))
     return diffusion.build_schedule(
         T,
         float(raw.get("beta_start", 1e-4)),
@@ -90,7 +91,7 @@ def _schedule_from(raw, args):
 def write_run_metadata(out_dir, model_cfg=None, train_cfg=None, schedule_raw=None, run_raw=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"# pointdiff {__version__}", f"# precision {os.environ.get('POINTDIFF_PRECISION', '64')}"]
+    lines = [f"# pointdiff {__version__}", f"# precision {eg.get_precision()}"]
     for section, payload in (
         ("model", model_cfg.to_dict() if model_cfg else None),
         ("train", dataclasses.asdict(train_cfg) if train_cfg else None),
@@ -174,7 +175,7 @@ def cmd_train_decoder(args):
 def _single_cloud_task(args, runner, suffix):
     model = _load_model(args.ckpt_decoder)
     schedule = diffusion.build_schedule(args.timesteps or model.cfg.timesteps)
-    cloud, _ = data_io.normalize(data_io.load_cloud(getattr(args, "input")))
+    cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
     result = runner(model, schedule, cloud)
     out = args.out or str(Path(args.input).with_suffix("")) + f"_{suffix}.ply"
     data_io.save_cloud(result, out)
@@ -261,11 +262,12 @@ def cmd_trace(args):
     schedule = diffusion.build_schedule(args.timesteps or model.cfg.timesteps)
     cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
     cfg = model.cfg
-    from .geometry import segment
-
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(args.seed, centers=ps.centers, strategy=args.mask_strategy or "random")
-    latent = model.encode(cloud, mask)
+    vis = mask.visible_indices
+    with eg.no_grad():
+        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
+    latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
     _, steps = tasks.sample_patches(model, latent, schedule, seed=args.seed, trace=True)
     out_dir = Path(args.out or "trace")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,15 +285,20 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"pointdiff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False, needs_ckpt=False):
-        p.add_argument("--config", help="run config file (key=value sections)")
+    flags = {
+        "--config": dict(help="run config file (key=value sections)"),
+        "--mask-ratio": dict(type=float),
+        "--mask-strategy": dict(choices=("random", "block")),
+        "--timesteps": dict(type=int),
+        "--loss-setting": dict(choices=("entire_object", "masked_only")),
+    }
+
+    def common(p, *read, needs_input=False, needs_ckpt=False):
+        """--seed, --out and the named ``flags`` the subcommand reads."""
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-        p.add_argument("--mask-strategy", dest="mask_strategy", choices=("random", "block"))
-        p.add_argument("--timesteps", type=int)
-        p.add_argument("--loss-setting", dest="loss_setting",
-                       choices=("entire_object", "masked_only"))
+        for flag in read:
+            p.add_argument(flag, **flags[flag])
         if needs_input:
             p.add_argument("--in", dest="input", required=True, help="input point cloud")
         if needs_ckpt:
@@ -307,36 +314,35 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-encoder", help="pretrain the encoder")
-    common(p)
+    common(p, "--config", "--mask-ratio", "--mask-strategy", "--loss-setting")
     p.set_defaults(func=cmd_train_encoder, _needs_config=True)
 
     p = sub.add_parser("train-decoder", help="train the diffusion decoder")
-    common(p)
+    common(p, "--config", "--mask-strategy", "--loss-setting", "--timesteps")
     p.add_argument("--ckpt-encoder", dest="ckpt_encoder", required=True)
     p.set_defaults(func=cmd_train_decoder, _needs_config=True)
 
     p = sub.add_parser("reconstruct", help="mask + regenerate a cloud")
-    common(p, needs_input=True, needs_ckpt=True)
+    common(p, "--mask-strategy", "--timesteps", needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("complete", help="fill in a partial cloud")
-    common(p, needs_input=True, needs_ckpt=True)
+    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
     p.add_argument("--centers", help="side-information file of masked patch centers")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("upsample", help="densify a cloud (Config 2 model)")
-    common(p, needs_input=True, needs_ckpt=True)
-    p.add_argument("--factor", type=int, help="informational; the factor lives in the checkpoint")
+    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
     p.add_argument("--visible-fraction", dest="visible_fraction", type=float, default=0.4)
     p.set_defaults(func=cmd_upsample)
 
     p = sub.add_parser("compress", help="serialize visible patches + centers")
-    common(p, needs_input=True)
+    common(p, "--config", "--mask-ratio", "--mask-strategy", needs_input=True)
     p.add_argument("--quant-bits", dest="quant_bits", type=int, default=10)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="reconstruct a cloud from a blob")
-    common(p, needs_input=True, needs_ckpt=True)
+    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("eval", help="score generated clouds against references")
@@ -347,7 +353,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="dump every reverse-sampling step as PLY")
-    common(p, needs_input=True, needs_ckpt=True)
+    common(p, "--mask-strategy", "--timesteps", needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_trace)
 
     return parser

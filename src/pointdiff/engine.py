@@ -104,12 +104,6 @@ def parameter(data, name=None):
     return Tensor(data, requires_grad=True, name=name)
 
 
-def assert_finite(t, context=""):
-    if not np.all(np.isfinite(t.data)):
-        raise InvalidArgument(f"non-finite values encountered {context}".strip())
-    return t
-
-
 def _unbroadcast(grad, shape):
     """Sum gradient over axes that were broadcast in the forward pass."""
     while grad.ndim > len(shape):

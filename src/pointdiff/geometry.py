@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
 
@@ -247,8 +246,3 @@ def assemble(patchset: PatchSet, subset, override_points=None) -> PointCloud:
             raise InvalidArgument(f"override patch {j} has shape {rel.shape}, expected (n, 3)")
         blocks.append(rel + patchset.centers[i])
     return PointCloud(np.concatenate(blocks, axis=0))
-
-
-def build_kdtree(points):
-    """KD-tree over a point array (thin scipy wrapper)."""
-    return cKDTree(np.asarray(points, dtype=np.float64))

@@ -62,32 +62,34 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
     return result.reshape(n_patches, cfg.patch_points, 3)
 
 
+def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residual) -> PointCloud:
+    """Encode the visible patches of ``ps``, sample the predicted ones and
+    reassemble the cloud in patch-index order.
+
+    Config 1 predictions replace the masked patches; Config 2 predictions
+    (visible rows first, then masked) replace every patch.
+    """
+    cfg = model.cfg
+    vis = mask.visible_indices
+    with eg.no_grad():
+        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
+        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
+    masked = mask.masked_indices
+    rows = np.concatenate([vis, masked]) if cfg.predict_visible else masked
+    override = [None] * cfg.num_groups
+    for patch, patch_index in zip(pred, rows):
+        override[patch_index] = patch
+    return assemble(ps, np.ones(cfg.num_groups, dtype=bool), override_points=override)
+
+
 def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0,
                 mask_strategy="random", residual=diffusion.RESIDUAL_SQRT_SIGMA) -> PointCloud:
     """Mask, encode, sample the masked patches and reassemble the object."""
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    with eg.no_grad():
-        latent = model.encode(cloud, mask)
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-    return _assemble_with_predictions(ps, mask, pred, cfg)
-
-
-def _assemble_with_predictions(ps: PatchSet, mask: MaskSpec, pred, cfg) -> PointCloud:
-    """Visible GT patches + predictions; Config 2 predictions replace all."""
-    all_patches = np.ones(cfg.num_groups, dtype=bool)
-    if cfg.predict_visible:
-        order = np.concatenate([mask.visible_indices, mask.masked_indices])
-        override = [None] * cfg.num_groups
-        for row, patch_index in enumerate(order):
-            override[patch_index] = pred[row]
-        # selected patches appear in index order; map overrides accordingly
-        return assemble(ps, all_patches, override_points=override)
-    override = [None] * cfg.num_groups
-    for row, patch_index in enumerate(mask.masked_indices):
-        override[patch_index] = pred[row]
-    return assemble(ps, all_patches, override_points=override)
+    return _generate(model, ps, mask, schedule, seed, residual)
 
 
 def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
@@ -123,21 +125,14 @@ def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
             f"masked_centers must be ({n_masked}, 3), got {masked_centers.shape}"
         )
 
-    centers = np.concatenate([vis_ps.centers, masked_centers], axis=0)
-    indicator = np.zeros(cfg.num_groups, dtype=bool)
-    indicator[n_visible:] = True
-    mask = MaskSpec(indicator=indicator, ratio=cfg.mask_ratio, strategy=MaskStrategy.RANDOM)
-
-    with eg.no_grad():
-        tokens = encode_patches(model.params, vis_ps.patches, vis_ps.centers, cfg)
-        latent = LatentSet(tokens=tokens, centers=centers, mask=mask)
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-
-    patches = np.concatenate(
-        [vis_ps.patches, np.zeros((n_masked, cfg.group_size, 3))], axis=0
+    ps = PatchSet(
+        centers=np.concatenate([vis_ps.centers, masked_centers]),
+        patches=np.concatenate([vis_ps.patches, np.zeros((n_masked, cfg.group_size, 3))]),
+        group_size=cfg.group_size,
     )
-    full_ps = PatchSet(centers=centers, patches=patches, group_size=cfg.group_size)
-    return _assemble_with_predictions(full_ps, mask, pred, cfg)
+    mask = MaskSpec(indicator=np.arange(cfg.num_groups) >= n_visible, ratio=cfg.mask_ratio,
+                    strategy=MaskStrategy.RANDOM)
+    return _generate(model, ps, mask, schedule, seed, residual)
 
 
 def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
@@ -148,15 +143,8 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
     if not cfg.predict_visible:
         raise InvalidArgument("upsampling requires a Config 2 model (predict_visible)")
     ps = segment(low_res_cloud, cfg.num_groups, cfg.group_size)
-    mask = apply_mask(
-        cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers
-    )
-    vis = mask.visible_indices
-    with eg.no_grad():
-        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
-        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-    return _assemble_with_predictions(ps, mask, pred, cfg)
+    mask = apply_mask(cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers)
+    return _generate(model, ps, mask, schedule, seed, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -175,41 +163,6 @@ class CompressedBlob:
     raw: bytes
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value, bits):
-        self.acc = (self.acc << bits) | int(value)
-        self.nbits += bits
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.buf.append((self.acc >> self.nbits) & 0xFF)
-
-    def flush(self):
-        if self.nbits:
-            self.buf.append((self.acc << (8 - self.nbits)) & 0xFF)
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.buf)
-
-
-class _BitReader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def read(self, bits):
-        out = 0
-        for _ in range(bits):
-            byte = self.data[self.pos >> 3]
-            out = (out << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return out
-
-
 def _quantize(points, lo, extent, q):
     levels = 1 << q
     safe = np.where(extent > 0, extent, 1.0)
@@ -220,6 +173,19 @@ def _quantize(points, lo, extent, q):
 def _dequantize(idx, lo, extent, q):
     levels = 1 << q
     return lo + (idx + 0.5) * extent / levels
+
+
+def _pack(idx, q):
+    """Pack (n, 3) quantized indices at q bits each, most significant bit
+    first, zero-padded to whole bytes."""
+    shifts = np.arange(q - 1, -1, -1, dtype=np.uint16)
+    return np.packbits((idx.astype(np.uint16)[..., None] >> shifts) & 1).tobytes()
+
+
+def _unpack(payload, n, q):
+    """Inverse of ``_pack``: (n, 3) int64 indices."""
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n * 3 * q)
+    return bits.reshape(n, 3, q) @ (1 << np.arange(q - 1, -1, -1))
 
 
 def compress(cloud: PointCloud, model_cfg, mask_seed=0, quant_bits=10,
@@ -244,14 +210,7 @@ def compress(cloud: PointCloud, model_cfg, mask_seed=0, quant_bits=10,
     header += struct.pack("<6d", *lo, *hi)
     header += np.packbits(mask.indicator).tobytes()
 
-    writer = _BitWriter()
-    for row in _quantize(vis_points, lo, extent, quant_bits):
-        for v in row:
-            writer.write(v, quant_bits)
-    for row in _quantize(ps.centers, lo, extent, quant_bits):
-        for v in row:
-            writer.write(v, quant_bits)
-    body = bytes(header) + writer.flush()
+    body = bytes(header) + _pack(_quantize(coords, lo, extent, quant_bits), quant_bits)
     return body + hashlib.sha256(body).digest()[:_DIGEST_BYTES]
 
 
@@ -269,29 +228,30 @@ def parse_blob(raw: bytes) -> CompressedBlob:
     bbox = np.array(struct.unpack_from("<6d", raw, off)).reshape(2, 3)
     off += 48
     mask_bytes = (num_groups + 7) // 8
+    if len(body) < off + mask_bytes:
+        raise CorruptBlob("blob truncated inside the mask")
+    if not 6 <= q <= 16:
+        raise CorruptBlob(f"quant_bits {q} outside [6, 16]")
     indicator = np.unpackbits(
         np.frombuffer(raw[off : off + mask_bytes], dtype=np.uint8)
     )[:num_groups].astype(bool)
     off += mask_bytes
 
     n_vis = int((~indicator).sum()) * group_size
-    reader = _BitReader(raw[off : len(body)])
-    lo, hi = bbox[0], bbox[1]
-    extent = hi - lo
-    vis_idx = np.array(
-        [[reader.read(q) for _ in range(3)] for _ in range(n_vis)], dtype=np.int64
-    ).reshape(n_vis, 3)
-    ctr_idx = np.array(
-        [[reader.read(q) for _ in range(3)] for _ in range(num_groups)], dtype=np.int64
-    ).reshape(num_groups, 3)
+    n_coords = n_vis + num_groups
+    payload = body[off:]
+    if len(payload) != (n_coords * 3 * q + 7) // 8:
+        raise CorruptBlob(f"payload of {len(payload)} bytes does not match the header")
+    idx = _unpack(payload, n_coords, q)
+    lo, extent = bbox[0], bbox[1] - bbox[0]
     return CompressedBlob(
         num_groups=num_groups,
         group_size=group_size,
         quant_bits=q,
         bbox=bbox,
         indicator=indicator,
-        visible_points=_dequantize(vis_idx, lo, extent, q),
-        centers=_dequantize(ctr_idx, lo, extent, q),
+        visible_points=_dequantize(idx[:n_vis], lo, extent, q),
+        centers=_dequantize(idx[n_vis:], lo, extent, q),
         raw=raw,
     )
 
@@ -315,18 +275,11 @@ def decompress(raw: bytes, model: Model, schedule, seed=0,
     mask = MaskSpec(indicator=blob.indicator, ratio=cfg.mask_ratio,
                     strategy=MaskStrategy.RANDOM)
     vis = mask.visible_indices
-    vis_patches = blob.visible_points.reshape(vis.size, cfg.group_size, 3)
-    vis_rel = vis_patches - blob.centers[vis][:, None, :]
-
-    with eg.no_grad():
-        tokens = encode_patches(model.params, vis_rel, blob.centers[vis], cfg)
-        latent = LatentSet(tokens=tokens, centers=blob.centers, mask=mask)
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-
     patches = np.zeros((cfg.num_groups, cfg.group_size, 3))
-    patches[vis] = vis_rel
-    full_ps = PatchSet(centers=blob.centers, patches=patches, group_size=cfg.group_size)
-    return _assemble_with_predictions(full_ps, mask, pred, cfg)
+    patches[vis] = (blob.visible_points.reshape(vis.size, cfg.group_size, 3)
+                    - blob.centers[vis][:, None, :])
+    ps = PatchSet(centers=blob.centers, patches=patches, group_size=cfg.group_size)
+    return _generate(model, ps, mask, schedule, seed, residual)
 
 
 def bpp(raw: bytes, original_point_count: int) -> float:

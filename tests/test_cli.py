@@ -1,6 +1,8 @@
 import pytest
 
-from pointdiff import cli, data_io
+from conftest import toy_config
+from pointdiff import cli, data_io, engine as eg, tasks, training
+from pointdiff.model import Model
 
 
 def run(argv):
@@ -147,3 +149,53 @@ def test_reconstruct_determinism_via_cli(workspace):
         run(["reconstruct", "--in", str(cloud), "--out", str(out),
              "--ckpt-decoder", str(dec_dir / "decoder.ckpt"), "--seed", "7"])
     assert a.read_bytes() == b.read_bytes()
+
+
+_CKPT_ARGS = ["--in", "c.ply", "--ckpt-decoder", "m.ckpt"]
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (["reconstruct", *_CKPT_ARGS], ["--config", "x.ini"]),
+    (["reconstruct", *_CKPT_ARGS], ["--mask-ratio", "0.5"]),
+    (["reconstruct", *_CKPT_ARGS], ["--loss-setting", "masked_only"]),
+    (["trace", *_CKPT_ARGS], ["--config", "x.ini"]),
+    (["complete", *_CKPT_ARGS], ["--mask-strategy", "block"]),
+    (["upsample", *_CKPT_ARGS], ["--factor", "2"]),
+    (["upsample", *_CKPT_ARGS], ["--mask-ratio", "0.5"]),
+    (["decompress", *_CKPT_ARGS], ["--config", "x.ini"]),
+    (["compress", "--in", "c.ply"], ["--timesteps", "3"]),
+    (["compress", "--in", "c.ply"], ["--loss-setting", "masked_only"]),
+    (["train-encoder", "--config", "x.ini"], ["--timesteps", "3"]),
+    (["train-decoder", "--config", "x.ini", "--ckpt-encoder", "e.ckpt"], ["--mask-ratio", "0.5"]),
+], ids=lambda a: a[0])
+def test_removed_flags_exit_2(argv, removed):
+    cli.build_parser().parse_args(argv)  # the command line is valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        run(argv + removed)
+    assert exc.value.code == 2
+
+
+def test_trace_latent_records_no_tape(tmp_path, monkeypatch):
+    cfg = toy_config(timesteps=3)
+    ckpt = tmp_path / "m.ckpt"
+    training.save_checkpoint(ckpt, cfg, Model.create(cfg, seed=0).params)
+    cloud = tmp_path / "c.ply"
+    data_io.save_cloud(data_io.synth_shape("sphere", 128, seed=1), cloud)
+    seen = []
+    sample_patches = tasks.sample_patches
+
+    def recording(model, latent, *args, **kwargs):
+        seen.append(latent.tokens._parents)
+        return sample_patches(model, latent, *args, **kwargs)
+
+    monkeypatch.setattr(tasks, "sample_patches", recording)
+    assert run(["trace", "--in", str(cloud), "--ckpt-decoder", str(ckpt),
+                "--out", str(tmp_path / "frames")]) == 0
+    assert seen == [()]
+
+
+def test_run_metadata_records_active_precision(tmp_path):
+    with eg.precision(32):
+        cli.write_run_metadata(tmp_path)
+    lines = (tmp_path / "resolved_config.ini").read_text().splitlines()
+    assert "# precision 32" in lines

@@ -141,15 +141,6 @@ def test_assemble_override_count_mismatch(sphere_cloud):
         geo.assemble(ps, np.ones(4, dtype=bool), override_points=[None])
 
 
-def test_build_kdtree_agrees_with_brute(rng):
-    pts = rng.normal(size=(64, 3))
-    queries = rng.normal(size=(16, 3))
-    tree = geo.build_kdtree(pts)
-    _, idx = tree.query(queries)
-    d2 = np.sum((queries[:, None] - pts[None]) ** 2, axis=2)
-    assert np.array_equal(idx, d2.argmin(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # exact squared-distance kernel and the blocked nearest-index search, against
 # the dense np.sum + argmin definition

@@ -1,12 +1,16 @@
 import contextlib
+import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_config
 from pointdiff import data_io, diffusion, engine as eg, tasks
 from pointdiff.errors import CorruptBlob, InvalidArgument
-from pointdiff.geometry import mask_count, segment
+from pointdiff.geometry import apply_mask, mask_count, segment
 from pointdiff.model import Model
 
 
@@ -83,6 +87,21 @@ def test_upsample_arity(sphere_cloud):
     assert len(out) == cfg.num_groups * cfg.group_size * 4
 
 
+def test_config2_rows_fill_visible_then_masked_patches(sphere_cloud, monkeypatch):
+    model, schedule = make_model(predict_visible=True, upsample_factor=2)
+    cfg = model.cfg
+    # prediction row r is filled with the value r
+    rows = np.broadcast_to(np.arange(cfg.num_groups, dtype=float)[:, None, None],
+                           (cfg.num_groups, cfg.patch_points, 3))
+    monkeypatch.setattr(tasks, "sample_patches", lambda *args, **kwargs: rows)
+    out = tasks.upsample(sphere_cloud, model, schedule, seed=3, visible_fraction=0.4)
+    ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
+    mask = apply_mask(cfg.num_groups, 0.6, "random", 3, centers=ps.centers)
+    blocks = out.points.reshape(cfg.num_groups, cfg.patch_points, 3) - ps.centers[:, None]
+    order = np.concatenate([mask.visible_indices, mask.masked_indices])
+    assert np.allclose(blocks[order], rows, atol=1e-12)
+
+
 def test_upsample_requires_config2(sphere_cloud):
     model, schedule = make_model()
     with pytest.raises(InvalidArgument):
@@ -103,8 +122,6 @@ def test_codec_round_trip_error_bound(q, sphere_cloud):
     assert parsed.group_size == cfg.group_size
 
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
-    from pointdiff.geometry import apply_mask
-
     mask = apply_mask(cfg.num_groups, cfg.mask_ratio, "random", 1, centers=ps.centers)
     assert np.array_equal(parsed.indicator, mask.indicator)
 
@@ -163,6 +180,50 @@ def test_parse_blob_rejects_corruption(sphere_cloud):
         tasks.parse_blob(bytes(flipped))
     with pytest.raises(CorruptBlob):
         tasks.parse_blob(bytes(blob[:20]))
+
+
+def test_blob_golden_digest(sphere_cloud):
+    # pins the wire format: header layout, MSB-first packing, zero padding
+    blob = tasks.compress(sphere_cloud, toy_config(), mask_seed=1, quant_bits=10)
+    assert len(blob) == 229
+    assert hashlib.sha256(blob).hexdigest() == (
+        "da5b0168d3721c73de5e636335ce7521b8fdb00c5181e8036e597e5abfe47e82"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(6, 16), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_pack_matches_bit_string_reference(q, n, seed):
+    # reference: each index as a q-digit binary string, concatenated,
+    # zero-padded to whole bytes
+    idx = np.random.default_rng(seed).integers(0, 1 << q, size=(n, 3))
+    bits = "".join(format(int(v), f"0{q}b") for v in idx.ravel())
+    bits += "0" * (-len(bits) % 8)
+    ref = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    assert tasks._pack(idx, q) == ref
+    assert np.array_equal(tasks._unpack(ref, n, q), idx)
+
+
+def _resigned(body):
+    return body + hashlib.sha256(body).digest()[:16]
+
+
+# header offsets: version 4, num_groups 5, group_size 9, quant_bits 13,
+# bbox 14, mask 62 (one byte at G=8), payload 63
+@pytest.mark.parametrize("forge", [
+    lambda body: body[:9] + struct.pack("<I", toy_config().group_size + 1) + body[13:],
+    lambda body: body[:62],
+    lambda body: body[:63],
+    lambda body: body + b"\0",
+    lambda body: body[:13] + bytes([5]) + body[14:],
+    lambda body: body[:13] + bytes([17]) + body[14:],
+], ids=["group_size+1", "truncated_before_mask", "truncated_after_header",
+        "trailing_byte", "quant_bits_5", "quant_bits_17"])
+def test_parse_blob_rejects_resigned_forgeries(sphere_cloud, forge):
+    blob = tasks.compress(sphere_cloud, toy_config(), mask_seed=1, quant_bits=10)
+    forged = _resigned(forge(blob[:-16]))
+    with pytest.raises(CorruptBlob):
+        tasks.parse_blob(forged)
 
 
 def test_decompress_round_trip(sphere_cloud):

@@ -4,7 +4,8 @@ Every run resolves a plain key=value config (sections [model], [train],
 [schedule], [run]; unknown keys rejected), applies flag overrides, and
 writes the resolved config and tool version next to its artifacts.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success, 1 runtime error (including a missing or unreadable
+file), 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -120,8 +120,6 @@ def _load_dataset(run_raw):
 def _load_model(path) -> Model:
     if not path:
         raise UsageError("a model checkpoint is required (--ckpt-decoder)")
-    if not os.path.exists(path):
-        raise PointdiffError(f"missing checkpoint: {path}")
     return training.load_model(path)
 
 
@@ -370,7 +368,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PointdiffError as exc:
+    except (PointdiffError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -203,15 +203,13 @@ def _sample_cube(rng, n):
     # pick a face uniformly (equal areas), then a uniform point on it
     face = rng.integers(0, 6, size=n)
     uv = rng.uniform(-0.5, 0.5, size=(n, 2))
-    pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, 0.5, -0.5)
-    for i in range(n):
-        coords = [0.0, 0.0, 0.0]
-        coords[axis[i]] = sign[i]
-        other = [a for a in range(3) if a != axis[i]]
-        coords[other[0]], coords[other[1]] = uv[i]
-        pts[i] = coords
+    rows = np.arange(n)
+    pts = np.empty((n, 3))
+    pts[rows, axis] = np.where(face % 2 == 0, 0.5, -0.5)
+    # the two other axes, in increasing order, take uv
+    others = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+    pts[rows[:, None], others] = uv
     return pts
 
 

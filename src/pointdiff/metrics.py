@@ -8,7 +8,6 @@ paths agree bitwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +141,3 @@ def report_to_csv(report: MetricReport, path):
             f"summary,{report.mmd_cd:.17e},{report.one_nn_cd:.17e},"
             f"{report.jsd:.17e},{report.hd:.17e}\n"
         )
-
-
-def jsd_upper_bound():
-    return math.log(2.0)

@@ -11,7 +11,7 @@ heads emit center-relative point offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,10 @@ class ModelConfig:
     use_position_embedding: bool = True
 
     def __post_init__(self):
+        sizes = (self.latent_width, self.enc_heads, self.dec_heads, self.num_groups,
+                 self.group_size, self.timesteps)
+        if min(sizes) < 1:
+            raise InvalidArgument(f"latent_width, heads, G, N and T must be positive: {sizes}")
         if self.latent_width % self.enc_heads or self.latent_width % self.dec_heads:
             raise InvalidArgument(
                 f"latent width {self.latent_width} must divide by head counts "
@@ -57,6 +61,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of ``to_dict``: every field must be present, with the type
+        of its default, and no other key."""
+        types = {f.name: type(f.default) for f in fields(cls)}
+        if set(d) != set(types):
+            raise InvalidArgument(
+                f"config keys: missing {sorted(set(types) - set(d))}, "
+                f"unknown {sorted(set(d) - set(types))}"
+            )
+        for key, value in d.items():
+            if type(value) is not types[key]:
+                raise InvalidArgument(f"config {key}={value!r} is not a {types[key].__name__}")
         return cls(**d)
 
 
@@ -67,6 +82,15 @@ class LatentSet:
     tokens: Tensor  # (V, L)
     centers: np.ndarray  # (G, 3), ordered by patch index
     mask: MaskSpec
+
+
+def predicted_indices(cfg: ModelConfig, mask: MaskSpec):
+    """Patch indices the decoder predicts, in its output row order: the
+    masked patches (Config 1), or every patch, visible then masked (Config 2,
+    ``predict_visible``).  Either way the masked patches come last."""
+    if cfg.predict_visible:
+        return np.concatenate([mask.visible_indices, mask.masked_indices])
+    return mask.masked_indices
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +268,27 @@ def mask_tokenize(params, noisy_points, n_patches, cfg: ModelConfig):
 
 
 def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
-    """Predict center-relative points for the masked patches (Config 1) or
-    all patches (Config 2, ``predict_visible``).
+    """Predict center-relative points for the patches ``predicted_indices``
+    names, in its order.
 
-    ``x_t`` is the flat noisy point block: (M * patch_points, 3) for Config 1
-    or (G * patch_points, 3) for Config 2, patches in [visible..., masked...]
-    order.  Returns a (n_pred, patch_points, 3) tensor.
+    ``x_t`` is the flat noisy point block of those patches,
+    (n_pred * patch_points, 3).  Returns a (n_pred, patch_points, 3) tensor.
     """
     mask = latent.mask
     vis_idx = mask.visible_indices
     msk_idx = mask.masked_indices
     n_vis, n_msk = vis_idx.size, msk_idx.size
-    G = mask.num_groups
-    pp = cfg.patch_points
+    n_pred = predicted_indices(cfg, mask).size
     if latent.tokens.shape[0] != n_vis:
         raise InvalidArgument(
             f"latent holds {latent.tokens.shape[0]} tokens but mask has {n_vis} visible patches"
         )
 
+    noise_tokens = mask_tokenize(params, x_t, n_pred, cfg)
     if cfg.predict_visible:
-        noise_tokens = mask_tokenize(params, x_t, G, cfg)
         tok_vis, tok_msk = eg.split(noise_tokens, [n_vis, n_msk], axis=0)
         seq = eg.concat([eg.add(latent.tokens, tok_vis), tok_msk], axis=0)
     else:
-        noise_tokens = mask_tokenize(params, x_t, n_msk, cfg)
         seq = eg.concat([latent.tokens, noise_tokens], axis=0)
 
     pe_vis = pos_embed(params, latent.centers[vis_idx], "dec.pos")
@@ -283,14 +304,11 @@ def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
         seq = transformer_block(params, seq, f"dec.block{i}", cfg.dec_heads)
         seq = _ln(params, f"dec.post_ln{i}", seq)
 
-    if cfg.predict_visible:
-        target = seq
-        n_pred = G
-    else:
-        _, target = eg.split(seq, [n_vis, n_msk], axis=0)
-        n_pred = n_msk
-    flat = _aff(params, "dec.head", target)
-    return eg.reshape(flat, (n_pred, pp, 3))
+    # the sequence is [visible..., masked...]; the predictions are its last n_pred rows
+    if n_pred < seq.shape[0]:
+        _, seq = eg.split(seq, [seq.shape[0] - n_pred, n_pred], axis=0)
+    flat = _aff(params, "dec.head", seq)
+    return eg.reshape(flat, (n_pred, cfg.patch_points, 3))
 
 
 # ---------------------------------------------------------------------------

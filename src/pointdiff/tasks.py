@@ -27,7 +27,7 @@ from .geometry import (
     mask_count,
     segment,
 )
-from .model import LatentSet, Model, encode_patches
+from .model import LatentSet, Model, encode_patches, predicted_indices
 
 _BLOB_MAGIC = b"DPC1"
 _BLOB_VERSION = 1
@@ -41,13 +41,11 @@ _DIGEST_BYTES = 16
 def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
                    residual=diffusion.RESIDUAL_SQRT_SIGMA, trace=False):
     """Run the reverse chain, recording no autograd graph, and return
-    per-patch center-relative predictions.
-
-    Config 1 predicts the masked patches; Config 2 (``predict_visible``)
-    predicts every patch at ``upsample_factor`` density.
+    center-relative predictions at ``patch_points`` density for the patches
+    ``model.predicted_indices`` names, in its order.
     """
     cfg = model.cfg
-    n_patches = cfg.num_groups if cfg.predict_visible else latent.mask.masked_indices.size
+    n_patches = predicted_indices(cfg, latent.mask).size
     n_points = n_patches * cfg.patch_points
 
     def decoder_fn(x_t, t):
@@ -64,21 +62,16 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
 
 def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residual) -> PointCloud:
     """Encode the visible patches of ``ps``, sample the predicted ones and
-    reassemble the cloud in patch-index order.
-
-    Config 1 predictions replace the masked patches; Config 2 predictions
-    (visible rows first, then masked) replace every patch.
-    """
+    reassemble the cloud in patch-index order; each prediction replaces its
+    patch."""
     cfg = model.cfg
     vis = mask.visible_indices
     with eg.no_grad():
         tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
         latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
         pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-    masked = mask.masked_indices
-    rows = np.concatenate([vis, masked]) if cfg.predict_visible else masked
     override = [None] * cfg.num_groups
-    for patch, patch_index in zip(pred, rows):
+    for patch, patch_index in zip(pred, predicted_indices(cfg, mask)):
         override[patch_index] = patch
     return assemble(ps, np.ones(cfg.num_groups, dtype=bool), override_points=override)
 

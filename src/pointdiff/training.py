@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -23,7 +24,15 @@ from .engine import Tensor
 from .diffusion import NoiseSchedule, q_sample
 from .errors import CorruptCheckpoint, InvalidArgument, UnsupportedVersion
 from .geometry import PointCloud, nearest_indices, segment
-from .model import Model, ModelConfig, decode, encode_patches, encoder_pretrain_head
+from .model import (
+    LatentSet,
+    Model,
+    ModelConfig,
+    decode,
+    encode_patches,
+    encoder_pretrain_head,
+    predicted_indices,
+)
 
 _MAGIC = b"PDCK"
 _VERSION = 1
@@ -41,7 +50,6 @@ class TrainConfig:
     lr: float = 1e-3
     loss_setting: LossSetting = LossSetting.ENTIRE_OBJECT
     seed: int = 0
-    log_every: int = 10
     checkpoint_every: int = 0  # 0 = only at the end
     mask_strategy: str = "random"
     remask_every: int = 1  # epochs between fresh mask draws; 0 = fixed mask
@@ -51,6 +59,8 @@ class TrainConfig:
             self.loss_setting = LossSetting(self.loss_setting)
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidArgument("epochs and batch_size must be positive")
+        if self.checkpoint_every < 0:
+            raise InvalidArgument("checkpoint_every must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -132,46 +142,51 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(body).digest() != digest:
         raise CorruptCheckpoint(f"{path}: digest mismatch")
     off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(n):
+        # every length field is checked against the body before it is read
+        nonlocal off
+        if off + n > len(body):
+            raise CorruptCheckpoint(f"{path}: {n} bytes at offset {off} run past the body")
+        off += n
+        return body[off - n : off]
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    version = u32()
     if version != _VERSION:
         raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-    (meta_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    meta = json.loads(raw[off : off + meta_len])
-    off += meta_len
-    (n_tensors,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    manifest = []
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        manifest.append((name, shape))
+    try:
+        meta = json.loads(take(u32()))
+        manifest = []
+        for _ in range(u32()):
+            name = take(u32()).decode()
+            ndim = u32()
+            manifest.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, a non-UTF-8 name
+        raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from exc
+    if not (isinstance(meta, dict) and isinstance(meta.get("model"), dict)
+            and isinstance(meta.get("extra", {}), dict)):
+        raise CorruptCheckpoint(f"{path}: metadata lacks a model config")
     tensors = {}
     for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
-        end = off + 4 * count
-        if end > len(body):
-            raise CorruptCheckpoint(f"{path}: truncated payload at tensor {name}")
-        tensors[name] = np.frombuffer(raw[off:end], dtype="<f4").reshape(shape).copy()
-        off = end
+        data = take(4 * math.prod(shape))
+        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
     if off != len(body):
         raise CorruptCheckpoint(f"{path}: {len(body) - off} trailing bytes")
     return Checkpoint(config=meta["model"], tensors=tensors, extra=meta.get("extra", {}))
 
 
 def load_model(path) -> Model:
-    """Rebuild a Model from a checkpoint, validating shapes against config."""
+    """Rebuild a Model from a checkpoint, validating the config and the
+    tensor shapes."""
     ckpt = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(ckpt.config)
-    model = Model.create(cfg, seed=0)
-    load_tensors_into(model.params, ckpt.tensors)
+    try:
+        model = Model.create(ModelConfig.from_dict(ckpt.config), seed=0)
+        load_tensors_into(model.params, ckpt.tensors)
+    except InvalidArgument as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from exc
     return model
 
 
@@ -191,68 +206,52 @@ def load_tensors_into(params, tensors):
 # training loops
 
 
-def _as_clouds(dataset):
-    out = []
-    for item in dataset:
-        if isinstance(item, tuple):
-            out.append(item[1])
-        elif isinstance(item, PointCloud):
-            out.append(item)
-        else:
-            out.append(PointCloud(item))
-    return out
-
-
-def _check_divisibility(clouds, cfg: ModelConfig):
-    for i, cloud in enumerate(clouds):
+def _segment_dataset(dataset, cfg: ModelConfig):
+    """Clouds of ``dataset`` (PointClouds, arrays or (id, cloud) pairs) and
+    their patch sets at the encoder's group size."""
+    clouds = []
+    for i, item in enumerate(dataset):
+        cloud = item[1] if isinstance(item, tuple) else item
+        cloud = cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)
         if len(cloud) < cfg.num_groups:
             raise InvalidArgument(
                 f"dataset item {i} has {len(cloud)} points, fewer than G={cfg.num_groups}"
             )
+        clouds.append(cloud)
+    return clouds, [segment(c, cfg.num_groups, cfg.group_size) for c in clouds]
 
 
-def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, model=None):
-    """Train the encoder + pretraining head; returns (model, per-epoch losses).
+def _fit(model, prefix, patchsets, train_cfg: TrainConfig, item_loss):
+    """Adam on the ``prefix`` parameters of ``model`` with every other
+    parameter frozen; returns the per-epoch mean batch losses.
 
-    One "epoch" is one pass over the dataset in batches; a fresh mask is
-    drawn per item per epoch.
+    Dataset item ``i`` draws the mask keyed by
+    ``(seed, _mask_key(train_cfg, epoch), i)`` and contributes
+    ``item_loss(epoch, i, mask)``.
     """
-    clouds = _as_clouds(dataset)
-    _check_divisibility(clouds, model_cfg)
-    if model is None:
-        model = Model.create(model_cfg, seed=train_cfg.seed)
-    model.set_trainable("enc.", True)
-    model.set_trainable("dec.", False)
-    enc_params = {k: v for k, v in model.params.items() if k.startswith("enc.")}
-    opt_state = eg.adam_init(enc_params)
-
-    patchsets = [segment(c, model_cfg.num_groups, model_cfg.group_size) for c in clouds]
+    model.set_trainable("", False)
+    model.set_trainable(prefix, True)
+    params = {k: v for k, v in model.params.items() if k.startswith(prefix)}
+    opt_state = eg.adam_init(params)
     curve = []
     for epoch in range(train_cfg.epochs):
         epoch_losses = []
-        for start in range(0, len(clouds), train_cfg.batch_size):
-            batch = range(start, min(start + train_cfg.batch_size, len(clouds)))
+        for start in range(0, len(patchsets), train_cfg.batch_size):
             losses = []
-            for i in batch:
-                ps = patchsets[i]
+            for i in range(start, min(start + train_cfg.batch_size, len(patchsets))):
                 mask = model.draw_mask(
                     (train_cfg.seed, _mask_key(train_cfg, epoch), i),
-                    centers=ps.centers,
+                    centers=patchsets[i].centers,
                     strategy=train_cfg.mask_strategy,
                 )
-                vis = mask.visible_indices
-                tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], model_cfg)
-                pred = encoder_pretrain_head(model.params, tokens, model_cfg)
-                pred_pts = _pred_to_points(pred, ps.centers[vis])
-                gt_pts = ps.absolute(vis).reshape(-1, 3)
-                losses.append(chamfer_loss(pred_pts, gt_pts))
+                losses.append(item_loss(epoch, i, mask))
             loss = _batch_mean(losses)
-            grads = eg.backward(loss, enc_params)
-            eg.adam_step(enc_params, grads, opt_state, train_cfg.lr)
-            eg.zero_grads(enc_params)
+            grads = eg.backward(loss, params)
+            eg.adam_step(params, grads, opt_state, train_cfg.lr)
+            eg.zero_grads(params)
             epoch_losses.append(loss.item())
         curve.append(float(np.mean(epoch_losses)))
-    return model, curve
+    return curve
 
 
 def _mask_key(train_cfg, epoch):
@@ -269,6 +268,33 @@ def _batch_mean(losses):
     return eg.scale(total, 1.0 / len(losses))
 
 
+def _checkpoints(curve, every):
+    """(end epoch, mean loss since the previous checkpoint) at every multiple
+    of ``every`` epochs and at the last epoch."""
+    ends = [e for e in range(1, len(curve) + 1) if (every and e % every == 0) or e == len(curve)]
+    return [(end, float(np.mean(curve[start:end]))) for start, end in zip([0] + ends, ends)]
+
+
+def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, model=None):
+    """Train the encoder + pretraining head; returns (model, per-epoch losses).
+
+    One "epoch" is one pass over the dataset in batches; a fresh mask is
+    drawn per item per epoch.
+    """
+    _, patchsets = _segment_dataset(dataset, model_cfg)
+    if model is None:
+        model = Model.create(model_cfg, seed=train_cfg.seed)
+
+    def item_loss(epoch, i, mask):
+        ps, vis = patchsets[i], mask.visible_indices
+        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], model_cfg)
+        pred = encoder_pretrain_head(model.params, tokens, model_cfg)
+        pred_pts = _pred_to_points(pred, ps.centers[vis])
+        return chamfer_loss(pred_pts, ps.absolute(vis).reshape(-1, 3))
+
+    return model, _fit(model, "enc.", patchsets, train_cfg, item_loss)
+
+
 def train_decoder(
     dataset,
     encoder_model: Model,
@@ -281,109 +307,49 @@ def train_decoder(
     Returns (model, per-epoch losses, checkpoints) where checkpoints is a
     list of (epoch, mean loss over the window since the previous checkpoint).
     """
-    model_cfg = encoder_model.cfg
-    if schedule.T != model_cfg.timesteps:
+    cfg = encoder_model.cfg
+    if schedule.T != cfg.timesteps:
         raise InvalidArgument(
-            f"schedule has T={schedule.T} but model expects {model_cfg.timesteps}"
+            f"schedule has T={schedule.T} but model expects {cfg.timesteps}"
         )
-    clouds = _as_clouds(dataset)
-    _check_divisibility(clouds, model_cfg)
+    clouds, patchsets = _segment_dataset(dataset, cfg)
     if model is None:
-        model = Model.create(model_cfg, seed=train_cfg.seed + 1)
-    # carry the pre-trained encoder weights over; freeze them
+        model = Model.create(cfg, seed=train_cfg.seed + 1)
+    # carry the pre-trained encoder weights over; _fit freezes them
     for name, t in encoder_model.params.items():
         if name.startswith("enc."):
             model.params[name].data = t.data.copy()
-    model.set_trainable("enc.", False)
-    model.set_trainable("dec.", True)
-    dec_params = {k: v for k, v in model.params.items() if k.startswith("dec.")}
-    opt_state = eg.adam_init(dec_params)
-
-    patchsets = [segment(c, model_cfg.num_groups, model_cfg.group_size) for c in clouds]
     # diffusion targets live at patch_points density; when upsample_factor > 1
     # they come from a denser grouping around the same FPS centers
-    if model_cfg.patch_points != model_cfg.group_size:
-        targets = [segment(c, model_cfg.num_groups, model_cfg.patch_points) for c in clouds]
+    if cfg.patch_points != cfg.group_size:
+        targets = [segment(c, cfg.num_groups, cfg.patch_points) for c in clouds]
     else:
         targets = patchsets
-    curve = []
-    checkpoints = []
-    window = []
-    for epoch in range(train_cfg.epochs):
-        epoch_losses = []
-        for start in range(0, len(clouds), train_cfg.batch_size):
-            batch = range(start, min(start + train_cfg.batch_size, len(clouds)))
-            losses = []
-            for i in batch:
-                losses.append(
-                    _decoder_item_loss(
-                        model, patchsets[i], targets[i], clouds[i], schedule,
-                        train_cfg, epoch, i
-                    )
-                )
-            loss = _batch_mean(losses)
-            grads = eg.backward(loss, dec_params)
-            eg.adam_step(dec_params, grads, opt_state, train_cfg.lr)
-            eg.zero_grads(dec_params)
-            epoch_losses.append(loss.item())
-        curve.append(float(np.mean(epoch_losses)))
-        window.append(curve[-1])
-        if train_cfg.checkpoint_every and (epoch + 1) % train_cfg.checkpoint_every == 0:
-            checkpoints.append((epoch + 1, float(np.mean(window))))
-            window = []
-    if window:
-        checkpoints.append((train_cfg.epochs, float(np.mean(window))))
-    return model, curve, checkpoints
 
+    def item_loss(epoch, i, mask):
+        ps, target_ps = patchsets[i], targets[i]
+        vis, msk = mask.visible_indices, mask.masked_indices
+        rows = predicted_indices(cfg, mask)
+        # the encoder is frozen: this forward records no graph
+        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
+        rng = np.random.default_rng((train_cfg.seed, epoch, i, 1))
+        t = int(rng.integers(schedule.T))
+        x0 = target_ps.patches[rows].reshape(-1, 3)
+        x_t = q_sample(x0, t, rng.standard_normal(x0.shape), schedule)
+        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
+        pred_pts = _pred_to_points(decode(model.params, latent, x_t, t, cfg), ps.centers[rows])
+        if train_cfg.loss_setting is LossSetting.MASKED_ONLY:
+            if cfg.predict_visible:  # masked rows come last
+                n_msk = msk.size * cfg.patch_points
+                _, pred_pts = eg.split(pred_pts, [pred_pts.shape[0] - n_msk, n_msk], axis=0)
+            return chamfer_loss(pred_pts, target_ps.absolute(msk).reshape(-1, 3))
+        if not cfg.predict_visible:
+            vis_pts = Tensor(ps.absolute(vis).reshape(-1, 3))
+            pred_pts = eg.concat([vis_pts, pred_pts], axis=0)
+        return chamfer_loss(pred_pts, clouds[i].points)
 
-def _decoder_item_loss(model, ps, target_ps, cloud, schedule, train_cfg, epoch, item_index):
-    cfg = model.cfg
-    mask = model.draw_mask(
-        (train_cfg.seed, _mask_key(train_cfg, epoch), item_index),
-        centers=ps.centers,
-        strategy=train_cfg.mask_strategy,
-    )
-    vis, msk = mask.visible_indices, mask.masked_indices
-    # encoder is frozen: this forward records no graph
-    tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
-    latent_tokens = Tensor(tokens.data)
-
-    rng = np.random.default_rng((train_cfg.seed, epoch, item_index, 1))
-    t = int(rng.integers(schedule.T))
-    if cfg.predict_visible:
-        order = np.concatenate([vis, msk])
-        x0 = target_ps.patches[order].reshape(-1, 3)
-    else:
-        x0 = target_ps.patches[msk].reshape(-1, 3)
-    eps = rng.standard_normal(x0.shape)
-    x_t = q_sample(x0, t, eps, schedule)
-
-    from .model import LatentSet  # local import avoids a cycle at module load
-
-    latent = LatentSet(tokens=latent_tokens, centers=ps.centers, mask=mask)
-    pred = decode(model.params, latent, x_t, t, cfg)
-
-    if cfg.predict_visible:
-        pred_centers = ps.centers[np.concatenate([vis, msk])]
-    else:
-        pred_centers = ps.centers[msk]
-    pred_pts = _pred_to_points(pred, pred_centers)
-
-    if train_cfg.loss_setting is LossSetting.MASKED_ONLY and not cfg.predict_visible:
-        target = target_ps.absolute(msk).reshape(-1, 3)
-        return chamfer_loss(pred_pts, target)
-    if train_cfg.loss_setting is LossSetting.MASKED_ONLY:
-        target = target_ps.absolute(msk).reshape(-1, 3)
-        n_vis_pts = vis.size * cfg.patch_points
-        _, pred_masked = eg.split(pred_pts, [n_vis_pts, msk.size * cfg.patch_points], axis=0)
-        return chamfer_loss(pred_masked, target)
-    # entire object: combine GT visible points with the predictions
-    if cfg.predict_visible:
-        full_pred = pred_pts
-    else:
-        vis_pts = Tensor(ps.absolute(vis).reshape(-1, 3))
-        full_pred = eg.concat([vis_pts, pred_pts], axis=0)
-    return chamfer_loss(full_pred, cloud.points)
+    curve = _fit(model, "dec.", patchsets, train_cfg, item_loss)
+    return model, curve, _checkpoints(curve, train_cfg.checkpoint_every)
 
 
 def curve_to_csv(curve, path):

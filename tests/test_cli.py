@@ -70,10 +70,30 @@ def test_missing_checkpoint_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compress", "--in", "{missing}.ply"],
+    ["decompress", "--in", "{missing}.dpc", "--ckpt-decoder", "{ckpt}"],
+    ["complete", "--in", "{cloud}", "--centers", "{missing}.xyz", "--ckpt-decoder", "{ckpt}"],
+    ["eval", "--gen", "{missing}", "--ref", "{tmp}"],
+], ids=lambda a: a[0])
+def test_missing_file_exits_1(tmp_path, capsys, argv):
+    cfg = toy_config(timesteps=3)
+    paths = dict(missing=tmp_path / "nope", ckpt=tmp_path / "m.ckpt",
+                 cloud=tmp_path / "c.ply", tmp=tmp_path)
+    training.save_checkpoint(paths["ckpt"], cfg, Model.create(cfg, seed=0).params)
+    data_io.save_cloud(data_io.synth_shape("sphere", 32, seed=1), paths["cloud"])
+    assert run([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_config_key_exits_2(tmp_path, workspace):
     ws, config = workspace
     bad = ws / "bad.ini"
     bad.write_text("[model]\nflux_capacitance = 9\n")
+    assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    # a key no code reads is not accepted either
+    bad.write_text(config.read_text().replace("[train]\n", "[train]\nlog_every = 10\n"))
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
     bad.write_text("[warp]\nspeed = 9\n")
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2

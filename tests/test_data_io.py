@@ -113,6 +113,31 @@ def test_synth_shapes_normalized_and_deterministic(kind):
     assert not np.array_equal(a.points, c.points)
 
 
+def _sample_cube_loop(rng, n):
+    """The per-point cube sampler the vectorised one replaced, kept as its oracle."""
+    face = rng.integers(0, 6, size=n)
+    uv = rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, 0.5, -0.5)
+    for i in range(n):
+        coords = [0.0, 0.0, 0.0]
+        coords[axis[i]] = sign[i]
+        other = [a for a in range(3) if a != axis[i]]
+        coords[other[0]], coords[other[1]] = uv[i]
+        pts[i] = coords
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_cube_matches_loop(n, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(data_io._sample_cube(rng_a, n), _sample_cube_loop(rng_b, n))
+    # the same number of draws: the stream continues identically
+    assert rng_a.uniform() == rng_b.uniform()
+
+
 def test_synth_unknown_kind():
     with pytest.raises(InvalidArgument):
         data_io.synth_shape("klein-bottle", 10)

@@ -108,7 +108,6 @@ def test_jsd_bounded_by_ln2(rng):
     ref = bounded_clouds(rng, 2)
     val = metrics.jsd(gen, ref)
     assert 0.0 <= val <= np.log(2.0) + 1e-12
-    assert metrics.jsd_upper_bound() == pytest.approx(np.log(2.0))
 
 
 def test_evaluate_and_csv(tmp_path, rng):

@@ -23,6 +23,10 @@ def test_config_validation():
         ModelConfig(latent_width=16, enc_heads=3)  # not divisible
     with pytest.raises(InvalidArgument):
         ModelConfig(upsample_factor=0)
+    with pytest.raises(InvalidArgument):
+        ModelConfig(latent_width=16, enc_heads=0)  # would divide by zero
+    with pytest.raises(InvalidArgument):
+        ModelConfig(timesteps=0)
 
 
 def test_config_dict_round_trip():

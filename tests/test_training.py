@@ -1,10 +1,21 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_config
 from pointdiff import data_io, diffusion, engine as eg, training
 from pointdiff.engine import Tensor
-from pointdiff.errors import CorruptCheckpoint, InvalidArgument, UnsupportedVersion
+from pointdiff.errors import (
+    CorruptCheckpoint,
+    InvalidArgument,
+    PointdiffError,
+    UnsupportedVersion,
+)
 from pointdiff.model import Model
 from pointdiff.training import LossSetting, TrainConfig
 
@@ -46,6 +57,8 @@ def test_chamfer_loss_zero_at_match(rng):
 def test_train_config_validation():
     with pytest.raises(InvalidArgument):
         TrainConfig(epochs=0)
+    with pytest.raises(InvalidArgument):
+        TrainConfig(checkpoint_every=-1)
     cfg = TrainConfig(loss_setting="masked_only")
     assert cfg.loss_setting is LossSetting.MASKED_ONLY
 
@@ -106,21 +119,83 @@ def test_checkpoint_corruption_detected(tmp_path):
         training.load_checkpoint(bad)
 
 
-def test_checkpoint_version_check(tmp_path):
-    import hashlib
-    import struct
+def _resign(body):
+    """A checkpoint file whose digest matches ``body``, as a forger would write it."""
+    return bytes(body) + hashlib.sha256(bytes(body)).digest()
 
+
+def _saved_body(tmp_path):
     cfg = toy_config()
-    model = Model.create(cfg, seed=1)
     path = tmp_path / "m.ckpt"
-    training.save_checkpoint(path, cfg, model.params)
-    raw = bytearray(path.read_bytes())
-    body = raw[:-32]
+    training.save_checkpoint(path, cfg, Model.create(cfg, seed=1).params)
+    return bytearray(path.read_bytes()[:-32])
+
+
+def test_checkpoint_version_check(tmp_path):
+    body = _saved_body(tmp_path)
     body[4:8] = struct.pack("<I", 999)
-    body += hashlib.sha256(bytes(body)).digest()
-    path.write_bytes(bytes(body))
+    path = tmp_path / "v.ckpt"
+    path.write_bytes(_resign(body))
     with pytest.raises(UnsupportedVersion):
         training.load_checkpoint(path)
+
+
+def _with_model_config(body, edit):
+    """Re-signed copy of ``body`` whose [model] config is ``edit(config)``."""
+    (meta_len,) = struct.unpack_from("<I", body, 8)
+    meta = json.loads(bytes(body[12 : 12 + meta_len]))
+    edit(meta["model"])
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    return _resign(body[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                   + body[12 + meta_len :])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: m.update(flux_capacitance=9), id="unknown-key"),
+    pytest.param(lambda m: m.pop("timesteps"), id="missing-key"),  # no silent default
+    pytest.param(lambda m: m.update(latent_width="16"), id="wrong-type"),
+    pytest.param(lambda m: m.update(enc_heads=0), id="zero-heads"),
+    pytest.param(lambda m: m.update(latent_width=32), id="shapes-differ"),
+])
+def test_load_model_rejects_forged_config(tmp_path, edit):
+    path = tmp_path / "f.ckpt"
+    path.write_bytes(_with_model_config(_saved_body(tmp_path), edit))
+    with pytest.raises(CorruptCheckpoint):
+        training.load_model(path)
+
+
+def test_checkpoint_with_deeply_nested_metadata(tmp_path):
+    meta = b"[" * 100_000  # deeper than the JSON decoder's recursion limit
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(_resign(b"PDCK" + struct.pack("<II", 1, len(meta)) + meta
+                             + struct.pack("<I", 0)))
+    with pytest.raises(CorruptCheckpoint):
+        training.load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_forged_checkpoints_raise_only_library_errors(tmp_path, data):
+    body = _saved_body(tmp_path)
+    kind = data.draw(st.sampled_from(["flip", "truncate", "length"]))
+    if kind == "flip":
+        pos = data.draw(st.integers(4, len(body) - 1))
+        body[pos] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        body = body[: data.draw(st.integers(4, len(body) - 1))]
+    else:
+        # overwrite the meta length, the tensor count or the first name length
+        (meta_len,) = struct.unpack_from("<I", body, 8)
+        pos = data.draw(st.sampled_from([8, 12 + meta_len, 16 + meta_len]))
+        body[pos : pos + 4] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(_resign(body))
+    for load in (training.load_checkpoint, training.load_model):
+        try:
+            load(path)
+        except PointdiffError:
+            pass
 
 
 def test_load_tensors_shape_mismatch():
@@ -139,6 +214,9 @@ def test_pretrain_encoder_loss_decreases():
     model, curve = training.pretrain_encoder(tiny_dataset(), cfg, tc)
     assert len(curve) == 15
     assert curve[-1] < curve[0]
+    # only the encoder was trained: the decoder stays frozen
+    assert all(not p.requires_grad for name, p in model.params.items()
+               if name.startswith("dec."))
 
 
 def test_pretrain_encoder_deterministic():
@@ -155,19 +233,25 @@ def test_pretrain_rejects_small_clouds():
         training.pretrain_encoder(tiny_dataset(), cfg, TrainConfig(epochs=1))
 
 
-@pytest.mark.parametrize("setting", [LossSetting.ENTIRE_OBJECT, LossSetting.MASKED_ONLY])
-def test_train_decoder_runs_and_checkpoints(setting):
+@pytest.mark.parametrize("setting, every, ends", [
+    pytest.param(LossSetting.ENTIRE_OBJECT, 2, [2, 4, 6], id="LossSetting.ENTIRE_OBJECT"),
+    pytest.param(LossSetting.MASKED_ONLY, 2, [2, 4, 6], id="LossSetting.MASKED_ONLY"),
+    pytest.param(LossSetting.ENTIRE_OBJECT, 0, [6], id="only-at-end"),
+    pytest.param(LossSetting.ENTIRE_OBJECT, 4, [4, 6], id="short-last-window"),
+    pytest.param(LossSetting.ENTIRE_OBJECT, 10, [6], id="every-exceeds-epochs"),
+])
+def test_train_decoder_runs_and_checkpoints(setting, every, ends):
     cfg = toy_config()
     data = tiny_dataset()
     enc, _ = training.pretrain_encoder(data, cfg, TrainConfig(epochs=2, seed=0))
     schedule = diffusion.build_schedule(cfg.timesteps)
     tc = TrainConfig(epochs=6, batch_size=2, lr=5e-4, seed=0,
-                     loss_setting=setting, checkpoint_every=2)
+                     loss_setting=setting, checkpoint_every=every)
     model, curve, ckpts = training.train_decoder(data, enc, tc, schedule)
     assert len(curve) == 6
-    assert [e for e, _ in ckpts] == [2, 4, 6]
-    # windows average the epochs they cover
-    assert ckpts[0][1] == pytest.approx(np.mean(curve[:2]))
+    # windows average the epochs they cover, in order
+    assert ckpts == [(end, float(np.mean(curve[start:end])))
+                     for start, end in zip([0] + ends, ends)]
     # encoder weights were copied over and frozen
     for name, p in enc.params.items():
         if name.startswith("enc."):
@@ -188,11 +272,11 @@ def test_train_decoder_config2_runs():
     data = tiny_dataset()
     enc, _ = training.pretrain_encoder(data, cfg, TrainConfig(epochs=1, seed=0))
     schedule = diffusion.build_schedule(cfg.timesteps)
-    model, curve, _ = training.train_decoder(
-        data, enc, TrainConfig(epochs=2, batch_size=2, seed=0), schedule
-    )
-    assert len(curve) == 2
-    assert np.isfinite(curve).all()
+    for setting in LossSetting:
+        tc = TrainConfig(epochs=2, batch_size=2, seed=0, loss_setting=setting)
+        model, curve, _ = training.train_decoder(data, enc, tc, schedule)
+        assert len(curve) == 2
+        assert np.isfinite(curve).all()
 
 
 def test_fixed_mask_mode_reuses_the_same_mask():

@@ -36,6 +36,7 @@ from .model import (
 
 _MAGIC = b"PDCK"
 _VERSION = 1
+_MAX_NDIM = 32  # numpy 1.x's array rank limit; saved tensors have rank <= 3
 
 
 class LossSetting(Enum):
@@ -163,6 +164,8 @@ def load_checkpoint(path) -> Checkpoint:
         for _ in range(u32()):
             name = take(u32()).decode()
             ndim = u32()
+            if ndim > _MAX_NDIM:
+                raise CorruptCheckpoint(f"{path}: tensor {name!r} has rank {ndim}")
             manifest.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, a non-UTF-8 name
         raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from exc

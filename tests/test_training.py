@@ -173,6 +173,19 @@ def test_checkpoint_with_deeply_nested_metadata(tmp_path):
         training.load_checkpoint(path)
 
 
+def test_checkpoint_with_tensor_rank_beyond_numpy(tmp_path):
+    # an empty tensor of rank 70: no data bytes to run past the body, but
+    # more dimensions than numpy can reshape to
+    meta = json.dumps({"model": {}}).encode()
+    body = (b"PDCK" + struct.pack("<II", 1, len(meta)) + meta
+            + struct.pack("<II", 1, 1) + b"a"  # one tensor, named "a"
+            + struct.pack("<I", 70) + b"\0" * 4 * 70)
+    path = tmp_path / "rank.ckpt"
+    path.write_bytes(_resign(body))
+    with pytest.raises(CorruptCheckpoint):
+        training.load_checkpoint(path)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -172,7 +172,7 @@ def cmd_train_decoder(args):
 
 def _single_cloud_task(args, runner, suffix):
     model = _load_model(args.ckpt_decoder)
-    schedule = diffusion.build_schedule(args.timesteps or model.cfg.timesteps)
+    schedule = diffusion.build_schedule(model.cfg.timesteps)
     cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
     result = runner(model, schedule, cloud)
     out = args.out or str(Path(args.input).with_suffix("")) + f"_{suffix}.ply"
@@ -226,7 +226,7 @@ def cmd_compress(args):
 
 def cmd_decompress(args):
     model = _load_model(args.ckpt_decoder)
-    schedule = diffusion.build_schedule(args.timesteps or model.cfg.timesteps)
+    schedule = diffusion.build_schedule(model.cfg.timesteps)
     raw = Path(args.input).read_bytes()
     cloud = tasks.decompress(raw, model, schedule, seed=args.seed)
     out = args.out or args.input + ".ply"
@@ -257,7 +257,7 @@ def cmd_eval(args):
 
 def cmd_trace(args):
     model = _load_model(args.ckpt_decoder)
-    schedule = diffusion.build_schedule(args.timesteps or model.cfg.timesteps)
+    schedule = diffusion.build_schedule(model.cfg.timesteps)
     cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
@@ -321,16 +321,16 @@ def build_parser():
     p.set_defaults(func=cmd_train_decoder, _needs_config=True)
 
     p = sub.add_parser("reconstruct", help="mask + regenerate a cloud")
-    common(p, "--mask-strategy", "--timesteps", needs_input=True, needs_ckpt=True)
+    common(p, "--mask-strategy", needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("complete", help="fill in a partial cloud")
-    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
+    common(p, needs_input=True, needs_ckpt=True)
     p.add_argument("--centers", help="side-information file of masked patch centers")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("upsample", help="densify a cloud (Config 2 model)")
-    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
+    common(p, needs_input=True, needs_ckpt=True)
     p.add_argument("--visible-fraction", dest="visible_fraction", type=float, default=0.4)
     p.set_defaults(func=cmd_upsample)
 
@@ -340,7 +340,7 @@ def build_parser():
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="reconstruct a cloud from a blob")
-    common(p, "--timesteps", needs_input=True, needs_ckpt=True)
+    common(p, needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("eval", help="score generated clouds against references")
@@ -351,7 +351,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="dump every reverse-sampling step as PLY")
-    common(p, "--mask-strategy", "--timesteps", needs_input=True, needs_ckpt=True)
+    common(p, "--mask-strategy", needs_input=True, needs_ckpt=True)
     p.set_defaults(func=cmd_trace)
 
     return parser

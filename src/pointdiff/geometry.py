@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-# distance-matrix elements per block in nearest_indices (~0.5 MiB at 64-bit)
+# distance-matrix elements per block in nearest_indices and knn_group
+# (~0.5 MiB at 64-bit)
 _NN_BLOCK_ELEMS = 1 << 16
 
 
@@ -87,23 +88,44 @@ def mask_count(ratio, num_groups):
     return int(np.floor(ratio * num_groups + 0.5))
 
 
-def sq_dists(a, b):
+def sq_dists(a, b, out=None):
     """Squared distances between the rows of ``a`` (n, 3) and ``b`` (m, 3).
 
     Returns the (n, m) matrix, accumulated one axis at a time as
     ``(dx*dx + dy*dy) + dz*dz``.  That is the order in which
     ``np.sum((a[:, None] - b[None]) ** 2, axis=2)`` adds, so the result is
     bitwise equal to that dense definition without its (n, m, 3) temporary.
+    ``out``, when given, is a pair of (n, m) arrays of the result dtype: the
+    matrix is written into the first and returned, the second holds each
+    axis' term, and nothing is allocated.
     This is the only place the library forms point-to-point squared
     distances, apart from the metrics' einsum path.
     """
-    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d, dk = (None, None) if out is None else out
+    d = np.subtract.outer(a[:, 0], b[:, 0], out=d)
     d *= d
     for axis in (1, 2):
-        dk = np.subtract.outer(a[:, axis], b[:, axis])
+        dk = np.subtract.outer(a[:, axis], b[:, axis], out=dk)
         dk *= dk
         d += dk
     return d
+
+
+def _dist_blocks(a, b):
+    """Yield ``(lo, d, scratch)`` over blocks of rows of ``a``.
+
+    ``d`` is ``sq_dists(a[lo:lo + r], b)`` for blocks of about
+    ``_NN_BLOCK_ELEMS`` elements, and ``scratch`` is a free array of its
+    shape.  Every block is written into the same buffer, so a caller must be
+    done with one block before it asks for the next.
+    """
+    n, m = len(a), len(b)
+    rows = max(1, _NN_BLOCK_ELEMS // m)
+    buf = np.empty((2, min(rows, n), m), dtype=np.result_type(a, b))
+    for lo in range(0, n, rows):
+        block = a[lo : lo + rows]
+        d, scratch = buf[:, : len(block)]
+        yield lo, sq_dists(block, b, out=(d, scratch)), scratch
 
 
 def nearest_indices(a, b):
@@ -111,18 +133,15 @@ def nearest_indices(a, b):
 
     Equal to ``sq_dists(a, b).argmin(axis=1)`` and ``.argmin(axis=0)`` for
     finite inputs, ties going to the lowest index, but the matrix is only
-    ever held in blocks of rows of about ``_NN_BLOCK_ELEMS`` elements.  A
-    column's running nearest row moves only when a later block is strictly
-    closer, so the earliest of equally near rows is kept.
+    ever held in blocks of rows of about ``_NN_BLOCK_ELEMS`` elements, all
+    in one buffer.  A column's running nearest row moves only when a later
+    block is strictly closer, so the earliest of equally near rows is kept.
     """
-    n, m = len(a), len(b)
-    rows = max(1, _NN_BLOCK_ELEMS // m)
-    a_to_b = np.empty(n, dtype=np.intp)
-    b_to_a = np.zeros(m, dtype=np.intp)
-    best = np.full(m, np.inf, dtype=np.result_type(a, b))
-    for lo in range(0, n, rows):
-        d = sq_dists(a[lo : lo + rows], b)
-        a_to_b[lo : lo + rows] = d.argmin(axis=1)
+    a_to_b = np.empty(len(a), dtype=np.intp)
+    b_to_a = np.zeros(len(b), dtype=np.intp)
+    best = np.full(len(b), np.inf, dtype=np.result_type(a, b))
+    for lo, d, _ in _dist_blocks(a, b):
+        a_to_b[lo : lo + len(d)] = d.argmin(axis=1)
         col_min = d.min(axis=0)
         closer = col_min < best
         if closer.any():
@@ -157,16 +176,29 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
 def knn_group(cloud: PointCloud, centers, group_size: int):
     """For each center, the indices of its group_size nearest cloud points.
 
-    Ordered by ascending distance, ties broken by lowest point index.
+    Ordered by ascending distance, ties broken by lowest point index: equal
+    to ``np.argsort(sq_dists(centers, points), kind="stable")[:, :k]``.
+    Each row's k-th smallest distance is found by partition; every point at
+    or below it is a candidate, taken in ascending index order so that all
+    points tied with the k-th come along, and a stable sort of the
+    candidates by distance keeps the first k.  Rows are done in blocks of
+    about ``_NN_BLOCK_ELEMS`` distances.
     """
-    n = len(cloud)
-    if group_size > n:
-        raise InvalidArgument(f"knn_group: group_size={group_size} exceeds cloud size {n}")
+    n, k = len(cloud), group_size
+    if not 1 <= k <= n:
+        raise InvalidArgument(f"knn_group: group_size={k} out of range for cloud size {n}")
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    d2 = sq_dists(centers, cloud.points)
-    # stable lexsort on (distance, index) gives the deterministic tie-break
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :group_size]
+    if not np.all(np.isfinite(centers)):
+        raise InvalidArgument("knn_group: centers contain non-finite coordinates")
+    groups = np.empty((len(centers), k), dtype=np.intp)
+    for lo, d, kth in _dist_blocks(centers, cloud.points):
+        np.copyto(kth, d)
+        kth.partition(k - 1, axis=1)
+        rows, cols = np.nonzero(d <= kth[:, k - 1 : k])  # row-major: ascending index
+        order = np.lexsort((d[rows, cols], rows))  # stable: ties keep index order
+        starts = np.searchsorted(rows, np.arange(len(d)))
+        groups[lo : lo + len(d)] = cols[order[starts[:, None] + np.arange(k)]]
+    return groups
 
 
 def segment(cloud: PointCloud, num_groups: int, group_size: int) -> PatchSet:

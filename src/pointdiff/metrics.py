@@ -4,6 +4,12 @@ The nearest-neighbor searches run through a KD-tree for large clouds; the
 reported distances are always recomputed from the matched coordinates with
 the same arithmetic as the O(n^2) definition, so accelerated and brute-force
 paths agree bitwise.
+
+The set metrics share one table over every (gen, ref) pair: each pair costs
+one nearest-neighbour search each way, from which both its Chamfer and its
+Hausdorff distance are read, and each cloud's KD-tree is built at most once
+per call.  ``evaluate`` over G generated and R reference clouds thus runs
+2·G·R searches and builds at most G + R trees.
 """
 
 from __future__ import annotations
@@ -27,50 +33,91 @@ def _as_points(cloud):
     return pts
 
 
-def _nn_sq_dists(a, b):
-    """For each point of ``a``, squared distance to its nearest point in ``b``."""
-    if a.shape[0] * b.shape[0] <= _BRUTE_FORCE_LIMIT * _BRUTE_FORCE_LIMIT // 4:
+def _brute_force(a, b):
+    return a.shape[0] * b.shape[0] <= _BRUTE_FORCE_LIMIT * _BRUTE_FORCE_LIMIT // 4
+
+
+def _nn_sq_dists(a, b, tree=None):
+    """For each point of ``a``, squared distance to its nearest point in ``b``.
+
+    ``tree`` is ``b``'s KD-tree when the caller has one; it is only used
+    above the brute-force limit.
+    """
+    if _brute_force(a, b):
         diff = a[:, None, :] - b[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         idx = np.argmin(d2, axis=1)
     else:
-        _, idx = cKDTree(b).query(a, k=1)
+        _, idx = (cKDTree(b) if tree is None else tree).query(a, k=1)
     diff = a - b[idx]
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def _chamfer(d_ab, d_ba):
+    return float(np.mean(d_ab) + np.mean(d_ba))
+
+
+def _hausdorff(d_ab, d_ba):
+    return float(np.sqrt(max(np.max(d_ab), np.max(d_ba))))
 
 
 def chamfer_l2(a, b):
     """Symmetric mean-of-squared nearest-neighbor distance."""
     a, b = _as_points(a), _as_points(b)
-    return float(np.mean(_nn_sq_dists(a, b)) + np.mean(_nn_sq_dists(b, a)))
+    return _chamfer(_nn_sq_dists(a, b), _nn_sq_dists(b, a))
 
 
 def hausdorff(a, b):
     """Symmetric Hausdorff distance (Euclidean, unsquared)."""
     a, b = _as_points(a), _as_points(b)
-    d_ab = np.max(_nn_sq_dists(a, b))
-    d_ba = np.max(_nn_sq_dists(b, a))
-    return float(np.sqrt(max(d_ab, d_ba)))
+    return _hausdorff(_nn_sq_dists(a, b), _nn_sq_dists(b, a))
+
+
+def _pair_table(what, gen_set, ref_set):
+    """``chamfer_l2(g, r)`` and ``hausdorff(g, r)`` of every pair, as two
+    nested lists of floats indexed ``[gen][ref]``.
+
+    One search each way per pair; a cloud's KD-tree is built the first time
+    a search into it needs one and reused after that.
+    """
+    if not len(gen_set) or not len(ref_set):
+        raise InvalidArgument(f"{what}: both sets must be non-empty")
+    gen = [_as_points(c) for c in gen_set]
+    ref = [_as_points(c) for c in ref_set]
+    trees = {}
+
+    def nn(a, b, key):
+        if key not in trees and not _brute_force(a, b):
+            trees[key] = cKDTree(b)
+        return _nn_sq_dists(a, b, trees.get(key))
+
+    cd = [[0.0] * len(ref) for _ in gen]
+    hd = [[0.0] * len(ref) for _ in gen]
+    for i, g in enumerate(gen):
+        for j, r in enumerate(ref):
+            d_gr, d_rg = nn(g, r, ("ref", j)), nn(r, g, ("gen", i))
+            cd[i][j], hd[i][j] = _chamfer(d_gr, d_rg), _hausdorff(d_gr, d_rg)
+    return cd, hd
+
+
+def _mean_of_row_minima(rows):
+    """Mean of each row's minimum, summed left to right from 0.0."""
+    total = 0.0
+    for row in rows:
+        total += min(row)
+    return total / len(rows)
 
 
 def mmd_cd(gen_set, ref_set):
     """Mean over references of the best Chamfer match in the generated set."""
-    if not len(gen_set) or not len(ref_set):
-        raise InvalidArgument("mmd_cd: both sets must be non-empty")
-    total = 0.0
-    for ref in ref_set:
-        total += min(chamfer_l2(gen, ref) for gen in gen_set)
-    return total / len(ref_set)
+    cd, _ = _pair_table("mmd_cd", gen_set, ref_set)
+    return _mean_of_row_minima(list(zip(*cd)))
 
 
 def one_nn_cd(gen_set, ref_set):
     """Mean over generated clouds of the Chamfer distance to the nearest reference."""
-    if not len(gen_set) or not len(ref_set):
-        raise InvalidArgument("one_nn_cd: both sets must be non-empty")
-    total = 0.0
-    for gen in gen_set:
-        total += min(chamfer_l2(gen, ref) for ref in ref_set)
-    return total / len(gen_set)
+    cd, _ = _pair_table("one_nn_cd", gen_set, ref_set)
+    return _mean_of_row_minima(cd)
 
 
 def _occupancy(clouds, resolution):
@@ -115,18 +162,22 @@ class MetricReport:
 
 
 def evaluate(gen_set, ref_set, grid_resolution=32, ids=None) -> MetricReport:
-    """All four metrics, plus per-item CD/HD when the sets are paired."""
+    """All four metrics, plus per-item CD/HD when the sets are paired.
+
+    Every distance comes from one pair table (see the module docstring).
+    """
+    cd, hd = _pair_table("evaluate", gen_set, ref_set)
     report = MetricReport(
-        mmd_cd=mmd_cd(gen_set, ref_set),
-        one_nn_cd=one_nn_cd(gen_set, ref_set),
+        mmd_cd=_mean_of_row_minima(list(zip(*cd))),
+        one_nn_cd=_mean_of_row_minima(cd),
         jsd=jsd(gen_set, ref_set, grid_resolution),
-        hd=float(np.mean([min(hausdorff(g, r) for r in ref_set) for g in gen_set])),
+        hd=float(np.mean([min(row) for row in hd])),
     )
     if len(gen_set) == len(ref_set):
         if ids is None:
             ids = [str(i) for i in range(len(gen_set))]
-        for item_id, g, r in zip(ids, gen_set, ref_set):
-            report.per_item.append((item_id, chamfer_l2(g, r), hausdorff(g, r)))
+        for item_id, i in zip(ids, range(len(gen_set))):
+            report.per_item.append((item_id, cd[i][i], hd[i][i]))
     return report
 
 

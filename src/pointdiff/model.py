@@ -107,47 +107,62 @@ def _trunc_normal(rng, shape, std=0.02):
     return x
 
 
-def init_params(cfg: ModelConfig, seed=0):
-    """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases."""
-    rng = np.random.default_rng(seed)
+def param_layout(cfg: ModelConfig):
+    """Yield ``(name, shape)`` of every parameter ``cfg`` implies, in
+    initialisation order.  Weights end in ``.w``, biases in ``.b`` and
+    layer-norm gains in ``.g``.  A generator, so a caller comparing it with
+    a checkpoint stops at the first difference, whatever the config claims.
+    """
     L = cfg.latent_width
-    p = {}
 
     def affine(name, n_in, n_out):
-        p[f"{name}.w"] = eg.parameter(_trunc_normal(rng, (n_in, n_out)), name=f"{name}.w")
-        p[f"{name}.b"] = eg.parameter(np.zeros(n_out), name=f"{name}.b")
+        yield f"{name}.w", (n_in, n_out)
+        yield f"{name}.b", (n_out,)
 
     def norm(name):
-        p[f"{name}.g"] = eg.parameter(np.ones(L), name=f"{name}.g")
-        p[f"{name}.b"] = eg.parameter(np.zeros(L), name=f"{name}.b")
+        yield f"{name}.g", (L,)
+        yield f"{name}.b", (L,)
 
     def block(prefix):
         for part in ("q", "k", "v", "o"):
-            affine(f"{prefix}.attn.{part}", L, L)
-        affine(f"{prefix}.ffn.fc1", L, 4 * L)
-        affine(f"{prefix}.ffn.fc2", 4 * L, L)
-        # zero the residual-branch outputs: every block starts as identity,
-        # which removes the early residual noise and speeds small-scale runs
-        p[f"{prefix}.attn.o.w"].data[...] = 0.0
-        p[f"{prefix}.ffn.fc2.w"].data[...] = 0.0
-        norm(f"{prefix}.ln1")
-        norm(f"{prefix}.ln2")
+            yield from affine(f"{prefix}.attn.{part}", L, L)
+        yield from affine(f"{prefix}.ffn.fc1", L, 4 * L)
+        yield from affine(f"{prefix}.ffn.fc2", 4 * L, L)
+        yield from norm(f"{prefix}.ln1")
+        yield from norm(f"{prefix}.ln2")
 
-    affine("enc.token.fc1", 3, L)
-    affine("enc.token.fc2", L, L)
-    affine("enc.pos", 3, L)
+    yield from affine("enc.token.fc1", 3, L)
+    yield from affine("enc.token.fc2", L, L)
+    yield from affine("enc.pos", 3, L)
     for i in range(cfg.enc_blocks):
-        block(f"enc.block{i}")
-    norm("enc.final_ln")
-    affine("enc.head", L, cfg.group_size * 3)
+        yield from block(f"enc.block{i}")
+    yield from norm("enc.final_ln")
+    yield from affine("enc.head", L, cfg.group_size * 3)
 
-    affine("dec.pos", 3, L)
-    affine("dec.time", L, L)
-    affine("dec.mask_token", cfg.patch_points * 3, L)
+    yield from affine("dec.pos", 3, L)
+    yield from affine("dec.time", L, L)
+    yield from affine("dec.mask_token", cfg.patch_points * 3, L)
     for i in range(cfg.dec_blocks):
-        block(f"dec.block{i}")
-        norm(f"dec.post_ln{i}")
-    affine("dec.head", L, cfg.patch_points * 3)
+        yield from block(f"dec.block{i}")
+        yield from norm(f"dec.post_ln{i}")
+    yield from affine("dec.head", L, cfg.patch_points * 3)
+
+
+def init_params(cfg: ModelConfig, seed=0):
+    """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases,
+    unit gains."""
+    rng = np.random.default_rng(seed)
+    p = {}
+    for name, shape in param_layout(cfg):
+        if name.endswith(".w"):
+            data = _trunc_normal(rng, shape)
+            # zero the residual-branch outputs: every block starts as identity,
+            # which removes the early residual noise and speeds small-scale runs
+            if name.endswith((".attn.o.w", ".ffn.fc2.w")):
+                data[...] = 0.0
+        else:
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        p[name] = eg.parameter(data, name=name)
     return p
 
 

@@ -31,6 +31,7 @@ from .model import (
     decode,
     encode_patches,
     encoder_pretrain_head,
+    param_layout,
     predicted_indices,
 )
 
@@ -183,26 +184,34 @@ def load_checkpoint(path) -> Checkpoint:
 
 def load_model(path) -> Model:
     """Rebuild a Model from a checkpoint, validating the config and the
-    tensor shapes."""
+    tensor shapes before any parameter is allocated."""
     ckpt = load_checkpoint(path)
     try:
-        model = Model.create(ModelConfig.from_dict(ckpt.config), seed=0)
-        load_tensors_into(model.params, ckpt.tensors)
+        cfg = ModelConfig.from_dict(ckpt.config)
+        return Model(cfg=cfg, params=params_from_tensors(cfg, ckpt.tensors))
     except InvalidArgument as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    return model
 
 
-def load_tensors_into(params, tensors):
-    for name, param in params.items():
+def params_from_tensors(cfg: ModelConfig, tensors):
+    """The parameter dict of ``cfg`` (``model.param_layout``) holding the
+    stored ``tensors`` in the active dtype.
+
+    Every name and shape is checked before any parameter is made, and the
+    check stops at the first tensor the file lacks, so its work is bounded
+    by the file and not by the size the config claims.
+    """
+    layout = []
+    for name, shape in param_layout(cfg):
         if name not in tensors:
             raise InvalidArgument(f"checkpoint missing tensor {name!r}")
-        if tuple(tensors[name].shape) != tuple(param.data.shape):
+        if tuple(tensors[name].shape) != shape:
             raise InvalidArgument(
                 f"tensor {name!r}: checkpoint shape {tensors[name].shape} "
-                f"does not match model shape {param.data.shape}"
+                f"does not match model shape {shape}"
             )
-        param.data = np.asarray(tensors[name], dtype=eg.get_dtype())
+        layout.append(name)
+    return {name: eg.parameter(tensors[name], name=name) for name in layout}
 
 
 # ---------------------------------------------------------------------------

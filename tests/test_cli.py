@@ -183,6 +183,12 @@ _CKPT_ARGS = ["--in", "c.ply", "--ckpt-decoder", "m.ckpt"]
     (["upsample", *_CKPT_ARGS], ["--factor", "2"]),
     (["upsample", *_CKPT_ARGS], ["--mask-ratio", "0.5"]),
     (["decompress", *_CKPT_ARGS], ["--config", "x.ini"]),
+    # sampling runs the checkpoint's own T; a shorter chain is not offered
+    (["reconstruct", *_CKPT_ARGS], ["--timesteps", "3"]),
+    (["trace", *_CKPT_ARGS], ["--timesteps", "3"]),
+    (["complete", *_CKPT_ARGS], ["--timesteps", "3"]),
+    (["upsample", *_CKPT_ARGS], ["--timesteps", "3"]),
+    (["decompress", *_CKPT_ARGS], ["--timesteps", "3"]),
     (["compress", "--in", "c.ply"], ["--timesteps", "3"]),
     (["compress", "--in", "c.ply"], ["--loss-setting", "masked_only"]),
     (["train-encoder", "--config", "x.ini"], ["--timesteps", "3"]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointdiff import geometry as geo
+from pointdiff import data_io, geometry as geo
 from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import MaskStrategy, PointCloud
 
@@ -53,6 +53,53 @@ def test_knn_group_sorted_and_stable():
     groups = geo.knn_group(PointCloud(pts), pts[[0]], 3)
     # distances 0, 1, 1, 4 -> ties on 1 resolved to the lower index first
     assert groups[0].tolist() == [0, 1, 2]
+
+
+def _knn_oracle(pts, centers, k):
+    # stable argsort of whole rows of the dense definition
+    return np.argsort(_dense_d2(centers, pts), axis=1, kind="stable")[:, :k]
+
+
+def _assert_knn_matches_oracle(pts, center_idx, k):
+    got = geo.knn_group(PointCloud(pts), pts[center_idx], k)
+    want = _knn_oracle(pts, pts[center_idx], k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_elems", [1, 100, None])
+@pytest.mark.parametrize("k", [1, 7, 100, 512])
+def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, block_elems):
+    # a 1/8 grid: every center has many points at each of a few distances,
+    # so the k-th distance is almost always tied; k = 512 is the whole cloud
+    pts = np.floor(rng.uniform(0.0, 1.0, size=(512, 3)) * 8) / 8
+    center_idx = rng.choice(512, size=20, replace=False)
+    if block_elems is None:
+        _assert_knn_matches_oracle(pts, center_idx, k)
+    else:
+        with mock.patch.object(geo, "_NN_BLOCK_ELEMS", block_elems):
+            _assert_knn_matches_oracle(pts, center_idx, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 20, 280])
+def test_knn_group_partition_matches_stable_argsort_with_duplicates(rng, k):
+    # every point appears 7 times, in shuffled positions
+    pts = np.repeat(rng.normal(size=(40, 3)), 7, axis=0)[rng.permutation(280)]
+    _assert_knn_matches_oracle(pts, rng.choice(280, size=9, replace=False), k)
+
+
+def test_knn_group_partition_matches_stable_argsort_on_torus():
+    cloud = data_io.synth_shape("torus", 4096, seed=2)
+    _assert_knn_matches_oracle(cloud.points, geo.fps(cloud, 64), 32)
+
+
+def test_knn_group_rejects_bad_sizes_and_centers():
+    cloud = PointCloud(np.eye(3))
+    for k in (0, 4):
+        with pytest.raises(InvalidArgument):
+            geo.knn_group(cloud, cloud.points, k)
+    with pytest.raises(InvalidArgument):
+        geo.knn_group(cloud, [[np.nan, 0.0, 0.0]], 2)
 
 
 def test_segment_patch_geometry(sphere_cloud):
@@ -174,6 +221,16 @@ def test_sq_dists_bitwise_equals_dense_sum(a, b, dtype):
     d2 = geo.sq_dists(a, b)
     assert d2.dtype == dtype
     assert np.array_equal(d2, _dense_d2(a, b))
+
+
+def test_sq_dists_writes_into_out(rng):
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+    d, scratch = np.full((2, 5, 7), np.nan)
+    assert geo.sq_dists(a, b, out=(d, scratch)) is d
+    assert np.array_equal(d, _dense_d2(a, b))
+    buf = np.empty((2, 5, 7), dtype=np.float32)
+    a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    assert np.array_equal(geo.sq_dists(a32, b32, out=tuple(buf)), _dense_d2(a32, b32))
 
 
 @settings(max_examples=80, deadline=None)

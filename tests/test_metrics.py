@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import brute_chamfer, brute_hausdorff
 from pointdiff import metrics
+from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import PointCloud
 
 
@@ -126,3 +128,84 @@ def test_evaluate_and_csv(tmp_path, rng):
     summary = lines[-1].split(",")
     assert float(summary[1]) == report.mmd_cd
     assert float(summary[3]) == report.jsd
+
+
+# ---------------------------------------------------------------------------
+# evaluate reads one pair table; it must equal the public functions composed
+
+
+def _composed(gen, ref, ids):
+    """What evaluate reports, rebuilt from the public single-metric calls."""
+    hd = float(np.mean([min(metrics.hausdorff(g, r) for r in ref) for g in gen]))
+    per_item = []
+    if len(gen) == len(ref):
+        per_item = [(i, metrics.chamfer_l2(g, r), metrics.hausdorff(g, r))
+                    for i, g, r in zip(ids, gen, ref)]
+    return dict(mmd_cd=metrics.mmd_cd(gen, ref), one_nn_cd=metrics.one_nn_cd(gen, ref),
+                jsd=metrics.jsd(gen, ref), hd=hd, per_item=per_item)
+
+
+def _loop_mmd_cd(gen, ref):
+    # reference: the definition as a loop over chamfer_l2, summed into a float
+    total = 0.0
+    for r in ref:
+        total += min(metrics.chamfer_l2(g, r) for g in gen)
+    return total / len(ref)
+
+
+def _loop_one_nn_cd(gen, ref):
+    total = 0.0
+    for g in gen:
+        total += min(metrics.chamfer_l2(g, r) for r in ref)
+    return total / len(gen)
+
+
+@pytest.mark.parametrize("sizes", [
+    pytest.param(((20, 64), (30, 90)), id="brute-force"),   # every pair < 512^2/4
+    pytest.param(((300, 400), (260, 500)), id="kd-tree"),  # every pair > 512^2/4
+    pytest.param(((40, 300), (250, 600)), id="mixed"),
+])
+@pytest.mark.parametrize("n_gen, n_ref", [(3, 3), (3, 2), (1, 4)])
+def test_evaluate_equals_composed_public_functions(rng, sizes, n_gen, n_ref):
+    gen_sizes, ref_sizes = sizes
+    gen = [rng.uniform(-0.45, 0.45, size=(int(rng.integers(*gen_sizes)), 3))
+           for _ in range(n_gen)]
+    ref = [PointCloud(rng.uniform(-0.45, 0.45, size=(int(rng.integers(*ref_sizes)), 3)))
+           for _ in range(n_ref)]
+    ids = [f"item{i}" for i in range(n_gen)]
+    report = metrics.evaluate(gen, ref, ids=ids)
+    want = _composed(gen, ref, ids)
+    for name in ("mmd_cd", "one_nn_cd", "jsd", "hd"):
+        assert type(getattr(report, name)) is float, name
+        assert getattr(report, name) == want[name], name
+    assert report.per_item == want["per_item"]
+    assert len(report.per_item) == (n_gen if n_gen == n_ref else 0)
+    for _, cd, hd in report.per_item:
+        assert type(cd) is float and type(hd) is float
+    # the set metrics sum the minima one by one, as a Python float
+    assert want["mmd_cd"] == _loop_mmd_cd(gen, ref)
+    assert want["one_nn_cd"] == _loop_one_nn_cd(gen, ref)
+    assert type(want["mmd_cd"]) is float and type(want["one_nn_cd"]) is float
+
+
+def test_evaluate_builds_each_tree_once(rng, monkeypatch):
+    built = []
+
+    def counting_tree(points):
+        built.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+    gen = [rng.uniform(-0.45, 0.45, size=(300 + i, 3)) for i in range(3)]
+    ref = [rng.uniform(-0.45, 0.45, size=(400 + i, 3)) for i in range(3)]
+    metrics.evaluate(gen, ref)
+    # 9 pairs searched both ways above the brute-force limit; one tree per cloud
+    assert sorted(built) == [300, 301, 302, 400, 401, 402]
+
+
+@pytest.mark.parametrize("fn", [metrics.evaluate, metrics.mmd_cd, metrics.one_nn_cd, metrics.jsd])
+def test_set_metrics_reject_empty_sets(rng, fn):
+    cloud = rng.uniform(-0.4, 0.4, size=(8, 3))
+    for gen, ref in (([], [cloud]), ([cloud], []), ([], [])):
+        with pytest.raises(InvalidArgument):
+            fn(gen, ref)

@@ -16,6 +16,7 @@ from pointdiff.errors import (
     PointdiffError,
     UnsupportedVersion,
 )
+from pointdiff import model as model_module
 from pointdiff.model import Model
 from pointdiff.training import LossSetting, TrainConfig
 
@@ -217,8 +218,36 @@ def test_load_tensors_shape_mismatch():
     tensors = {k: v.data.astype(np.float32) for k, v in model.params.items()}
     tensors["enc.head.w"] = np.zeros((2, 2), dtype=np.float32)
     with pytest.raises(InvalidArgument) as exc:
-        training.load_tensors_into(model.params, tensors)
+        training.params_from_tensors(cfg, tensors)
     assert "enc.head.w" in str(exc.value)
+    del tensors["enc.head.w"]
+    with pytest.raises(InvalidArgument, match="missing tensor 'enc.head.w'"):
+        training.params_from_tensors(cfg, tensors)
+
+
+def test_load_model_work_is_bounded_by_the_file(tmp_path, monkeypatch):
+    cfg = toy_config()
+    model = Model.create(cfg, seed=1)
+    training.save_checkpoint(tmp_path / "ok.ckpt", cfg, model.params)
+    forged = tmp_path / "big.ckpt"
+    forged.write_bytes(_with_model_config(_saved_body(tmp_path),
+                                          lambda m: m.update(enc_blocks=2000)))
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_model initialised parameters")
+
+    # a re-signed toy file claiming 2000 encoder blocks is rejected before
+    # any parameter of the claimed model is allocated or initialised
+    monkeypatch.setattr(model_module, "init_params", no_init)
+    with pytest.raises(CorruptCheckpoint, match="enc.block1"):
+        training.load_model(forged)
+    # a genuine checkpoint needs no initialisation either
+    reloaded = training.load_model(tmp_path / "ok.ckpt")
+    assert list(reloaded.params) == list(model.params)
+    for name, param in model.params.items():
+        got = reloaded.params[name]
+        assert got.requires_grad and got.name == name and got.data.dtype == param.data.dtype
+        assert np.array_equal(got.data, param.data.astype(np.float32).astype(param.data.dtype))
 
 
 def test_pretrain_encoder_loss_decreases():

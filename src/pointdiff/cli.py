@@ -20,11 +20,10 @@ from pathlib import Path
 from . import __version__, data_io, diffusion, metrics, tasks, training
 from . import engine as eg
 from .errors import PointdiffError
-from .geometry import PointCloud, segment
-from .model import LatentSet, Model, ModelConfig, encode_patches
+from .model import Model, ModelConfig
 from .training import TrainConfig
 
-_SCHEDULE_KEYS = {"timesteps", "beta_start", "beta_end", "residual"}
+_SCHEDULE_KEYS = {"timesteps", "beta_start", "beta_end"}
 _RUN_KEYS = {"manifest", "target_points", "out_dir"}
 
 
@@ -85,7 +84,7 @@ def _schedule_from(raw, args):
         T,
         float(raw.get("beta_start", 1e-4)),
         float(raw.get("beta_end", 0.05)),
-    ), raw.get("residual", diffusion.RESIDUAL_SQRT_SIGMA)
+    )
 
 
 def write_run_metadata(out_dir, model_cfg=None, train_cfg=None, schedule_raw=None, run_raw=None):
@@ -159,7 +158,7 @@ def cmd_train_decoder(args):
         cfgfile["train"],
         {"seed": args.seed, "mask_strategy": args.mask_strategy, "loss_setting": args.loss_setting},
     )
-    schedule, _ = _schedule_from(cfgfile["schedule"], args)
+    schedule = _schedule_from(cfgfile["schedule"], args)
     dataset = _load_dataset(cfgfile["run"])
     out_dir = Path(args.out or cfgfile["run"].get("out_dir", "."))
     write_run_metadata(out_dir, encoder.cfg, train_cfg, cfgfile["schedule"], cfgfile["run"])
@@ -170,42 +169,34 @@ def cmd_train_decoder(args):
     print(f"final decoder loss {curve[-1]:.6e}; checkpoint at {out_dir / 'decoder.ckpt'}")
 
 
-def _single_cloud_task(args, runner, suffix):
+def _single_cloud_inputs(args):
+    """The checkpoint's model, its sampling schedule and the normalized --in cloud."""
     model = _load_model(args.ckpt_decoder)
     schedule = diffusion.build_schedule(model.cfg.timesteps)
     cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
-    result = runner(model, schedule, cloud)
+    return model, schedule, cloud
+
+
+def _single_cloud_task(args, suffix, task, **options):
+    model, schedule, cloud = _single_cloud_inputs(args)
+    result = task(cloud, model, schedule, seed=args.seed, **options)
     out = args.out or str(Path(args.input).with_suffix("")) + f"_{suffix}.ply"
     data_io.save_cloud(result, out)
     print(f"wrote {out} ({len(result)} points)")
 
 
 def cmd_reconstruct(args):
-    def run(model, schedule, cloud):
-        return tasks.reconstruct(
-            cloud, model, schedule, seed=args.seed, mask_strategy=args.mask_strategy or "random"
-        )
-
-    _single_cloud_task(args, run, "recon")
+    _single_cloud_task(args, "recon", tasks.reconstruct,
+                       mask_strategy=args.mask_strategy or "random")
 
 
 def cmd_complete(args):
-    def run(model, schedule, cloud):
-        centers = None
-        if args.centers:
-            centers = data_io.load_cloud(args.centers).points
-        return tasks.complete(cloud, model, schedule, seed=args.seed, masked_centers=centers)
-
-    _single_cloud_task(args, run, "complete")
+    centers = data_io.load_cloud(args.centers).points if args.centers else None
+    _single_cloud_task(args, "complete", tasks.complete, masked_centers=centers)
 
 
 def cmd_upsample(args):
-    def run(model, schedule, cloud):
-        return tasks.upsample(
-            cloud, model, schedule, seed=args.seed, visible_fraction=args.visible_fraction
-        )
-
-    _single_cloud_task(args, run, "upsampled")
+    _single_cloud_task(args, "upsampled", tasks.upsample, visible_fraction=args.visible_fraction)
 
 
 def cmd_compress(args):
@@ -256,22 +247,16 @@ def cmd_eval(args):
 
 
 def cmd_trace(args):
-    model = _load_model(args.ckpt_decoder)
-    schedule = diffusion.build_schedule(model.cfg.timesteps)
-    cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
-    cfg = model.cfg
-    ps = segment(cloud, cfg.num_groups, cfg.group_size)
-    mask = model.draw_mask(args.seed, centers=ps.centers, strategy=args.mask_strategy or "random")
-    vis = mask.visible_indices
-    with eg.no_grad():
-        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
-    latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-    _, steps = tasks.sample_patches(model, latent, schedule, seed=args.seed, trace=True)
+    model, schedule, cloud = _single_cloud_inputs(args)
     out_dir = Path(args.out or "trace")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, step in enumerate(steps):
-        data_io.save_cloud(PointCloud(step), str(out_dir / f"step_{i:04d}.ply"))
-    print(f"wrote {len(steps)} frames under {out_dir}")
+
+    def write_frame(t, frame):
+        data_io.save_cloud(frame, str(out_dir / f"step_{schedule.T - 1 - t:04d}.ply"))
+
+    tasks.reconstruct(cloud, model, schedule, seed=args.seed,
+                      mask_strategy=args.mask_strategy or "random", on_step=write_frame)
+    print(f"wrote {schedule.T} frames under {out_dir}")
 
 
 # ---------------------------------------------------------------------------

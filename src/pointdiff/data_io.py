@@ -18,19 +18,16 @@ SYNTH_KINDS = ("sphere", "cube", "torus", "cylinder", "two-spheres")
 # file formats (ASCII PLY and XYZ)
 
 
-def load_cloud(path, fmt=None) -> PointCloud:
-    """Load a point cloud from an ASCII PLY or XYZ file (format by extension
-    when ``fmt`` is None)."""
-    fmt = fmt or _guess_format(path)
-    if fmt == "ascii-ply":
+def load_cloud(path) -> PointCloud:
+    """Load a point cloud from an ASCII PLY or XYZ file, by extension."""
+    if _guess_format(path) == "ascii-ply":
         return _load_ply(path)
-    if fmt == "xyz":
-        return _load_xyz(path)
-    raise InvalidArgument(f"unknown format {fmt!r}")
+    return _load_xyz(path)
 
 
-def save_cloud(cloud: PointCloud, path, fmt=None):
-    fmt = fmt or _guess_format(path)
+def save_cloud(cloud: PointCloud, path):
+    """Write an ASCII PLY or XYZ file, by extension."""
+    fmt = _guess_format(path)
     pts = cloud.points
     if pts.shape[0] == 0:
         raise InvalidArgument("refusing to write an empty cloud")
@@ -40,8 +37,6 @@ def save_cloud(cloud: PointCloud, path, fmt=None):
             fh.write(f"element vertex {pts.shape[0]}\n")
             fh.write("property float x\nproperty float y\nproperty float z\n")
             fh.write("end_header\n")
-        elif fmt != "xyz":
-            raise InvalidArgument(f"unknown format {fmt!r}")
         for x, y, z in pts:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
@@ -52,7 +47,7 @@ def _guess_format(path):
         return "ascii-ply"
     if p.endswith(".xyz") or p.endswith(".txt"):
         return "xyz"
-    raise InvalidArgument(f"cannot infer format from {path!r}; pass fmt explicitly")
+    raise InvalidArgument(f"cannot infer format from {path!r}; use .ply, .xyz or .txt")
 
 
 def _load_ply(path):
@@ -61,6 +56,7 @@ def _load_ply(path):
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", line=1)
     n_vertex = None
+    vertex_line = None
     props = []
     in_vertex_element = False
     body_start = None
@@ -69,15 +65,18 @@ def _load_ply(path):
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
+            if tok[1:2] != ["ascii"]:
                 raise ParseError("only ascii PLY is supported", line=i)
         elif tok[0] == "element":
+            if len(tok) < 3:
+                raise ParseError("element needs a name and a count", line=i)
             in_vertex_element = tok[1] == "vertex"
             if in_vertex_element:
                 try:
                     n_vertex = int(tok[2])
-                except (IndexError, ValueError):
+                except ValueError:
                     raise ParseError("bad element vertex count", line=i)
+                vertex_line = i
         elif tok[0] == "property" and in_vertex_element:
             props.append(tok[-1])
         elif tok[0] == "end_header":
@@ -89,6 +88,10 @@ def _load_ply(path):
         cols = [props.index(c) for c in ("x", "y", "z")]
     except ValueError:
         raise ParseError("vertex element lacks x/y/z properties", line=body_start)
+    n_rows = len(lines) - body_start
+    if not 0 <= n_vertex <= n_rows:
+        raise ParseError(f"vertex count {n_vertex} outside [0, {n_rows}], the lines after "
+                         "end_header", line=vertex_line)
 
     pts = np.empty((n_vertex, 3), dtype=np.float64)
     for row in range(n_vertex):
@@ -277,10 +280,19 @@ class DatasetManifest:
         return clouds
 
 
+def _synth_args(spec):
+    """(kind, n, sigma, seed) of a ``synth:<kind>:<n>:<sigma>:<seed>`` spec;
+    ValueError when it has another shape."""
+    fields = spec.split(":")
+    if len(fields) != 5:
+        raise ValueError(f"{spec!r} is not synth:<kind>:<n>:<sigma>:<seed>")
+    _, kind, n, sigma, seed = fields
+    return kind, int(n), float(sigma), int(seed)
+
+
 def _resolve_entry(entry: ManifestEntry, target_points):
     if entry.spec.startswith("synth:"):
-        _, kind, n, sigma, seed = entry.spec.split(":")
-        cloud = synth_shape(kind, int(n), float(sigma), int(seed))
+        cloud = synth_shape(*_synth_args(entry.spec))
     else:
         cloud, _ = normalize(load_cloud(entry.spec))
     if len(cloud) != target_points:
@@ -301,6 +313,11 @@ def read_manifest(path, target_points) -> DatasetManifest:
             if len(parts) != 3:
                 raise ParseError("expected id<TAB>spec<TAB>split", line=lineno)
             entry_id, spec, split = parts
+            if spec.startswith("synth:"):
+                try:
+                    _synth_args(spec)
+                except ValueError as exc:
+                    raise ParseError(f"bad synth spec: {exc}", line=lineno)
             if entry_id in seen:
                 raise ParseError(f"duplicate id {entry_id!r}", line=lineno)
             seen.add(entry_id)

@@ -95,25 +95,23 @@ def sample(
     schedule: NoiseSchedule,
     rng_seed=0,
     residual=RESIDUAL_SQRT_SIGMA,
-    trace=False,
+    on_step=None,
 ):
     """Full reverse chain from Gaussian noise to a clean prediction.
 
     ``decoder_fn`` maps (x_t of shape (n_points, 3), t) to the clean-point
-    prediction of the same shape.  Returns the final prediction, or
-    (prediction, [per-step clouds]) when ``trace`` is set.  Deterministic
-    given ``rng_seed``.
+    prediction of the same shape.  ``on_step(t, x)``, when given, is called
+    after each reverse step with the chain's new state x_{t-1}; the call at
+    t = 0 receives the returned array itself.  Deterministic given
+    ``rng_seed``.
     """
     rng = np.random.default_rng(rng_seed)
     x = rng.standard_normal((n_points, 3))
-    steps = []
     for t in range(schedule.T - 1, -1, -1):
         x_rec = np.asarray(decoder_fn(x, t), dtype=np.float64)
         if x_rec.shape != x.shape:
             raise ShapeError.mismatch("sample: decoder output", x_rec.shape, x.shape)
         x = reverse_step(x, t, x_rec, schedule, residual=residual)
-        if trace:
-            steps.append(x.copy())
-    if trace:
-        return x, steps
+        if on_step is not None:
+            on_step(t, x)
     return x

@@ -146,6 +146,8 @@ def jsd(gen_set, ref_set, grid_resolution=32):
     """
     if not len(gen_set) or not len(ref_set):
         raise InvalidArgument("jsd: both sets must be non-empty")
+    if grid_resolution < 1:
+        raise InvalidArgument(f"jsd: grid_resolution must be >= 1, got {grid_resolution}")
     p = _occupancy(gen_set, grid_resolution)
     q = _occupancy(ref_set, grid_resolution)
     m = 0.5 * (p + q)
@@ -166,11 +168,12 @@ def evaluate(gen_set, ref_set, grid_resolution=32, ids=None) -> MetricReport:
 
     Every distance comes from one pair table (see the module docstring).
     """
+    divergence = jsd(gen_set, ref_set, grid_resolution)  # first: it checks the grid
     cd, hd = _pair_table("evaluate", gen_set, ref_set)
     report = MetricReport(
         mmd_cd=_mean_of_row_minima(list(zip(*cd))),
         one_nn_cd=_mean_of_row_minima(cd),
-        jsd=jsd(gen_set, ref_set, grid_resolution),
+        jsd=divergence,
         hd=float(np.mean([min(row) for row in hd])),
     )
     if len(gen_set) == len(ref_set):

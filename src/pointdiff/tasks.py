@@ -39,50 +39,56 @@ _DIGEST_BYTES = 16
 
 
 def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
-                   residual=diffusion.RESIDUAL_SQRT_SIGMA, trace=False):
+                   residual=diffusion.RESIDUAL_SQRT_SIGMA, on_step=None):
     """Run the reverse chain, recording no autograd graph, and return
     center-relative predictions at ``patch_points`` density for the patches
-    ``model.predicted_indices`` names, in its order.
+    ``model.predicted_indices`` names, in its order.  ``on_step(t, x)``, when
+    given, sees the chain's state in that layout after each reverse step.
     """
     cfg = model.cfg
-    n_patches = predicted_indices(cfg, latent.mask).size
-    n_points = n_patches * cfg.patch_points
+    shape = (predicted_indices(cfg, latent.mask).size, cfg.patch_points, 3)
 
     def decoder_fn(x_t, t):
         return model.decode(latent, x_t, t).data.reshape(-1, 3)
 
+    step = None if on_step is None else (lambda t, x: on_step(t, x.reshape(shape)))
     with eg.no_grad():
-        result = diffusion.sample(decoder_fn, n_points, schedule, rng_seed=seed,
-                                  residual=residual, trace=trace)
-    if trace:
-        x0, steps = result
-        return x0.reshape(n_patches, cfg.patch_points, 3), steps
-    return result.reshape(n_patches, cfg.patch_points, 3)
+        x0 = diffusion.sample(decoder_fn, shape[0] * shape[1], schedule, rng_seed=seed,
+                              residual=residual, on_step=step)
+    return x0.reshape(shape)
 
 
-def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residual) -> PointCloud:
+def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residual,
+              on_step=None) -> PointCloud:
     """Encode the visible patches of ``ps``, sample the predicted ones and
     reassemble the cloud in patch-index order; each prediction replaces its
-    patch."""
+    patch.  ``on_step(t, cloud)`` sees each step's cloud, built the same way."""
     cfg = model.cfg
     vis = mask.visible_indices
+
+    def cloud_of(pred):
+        override = [None] * cfg.num_groups
+        for patch, patch_index in zip(pred, predicted_indices(cfg, mask)):
+            override[patch_index] = patch
+        return assemble(ps, np.ones(cfg.num_groups, dtype=bool), override_points=override)
+
+    step = None if on_step is None else (lambda t, pred: on_step(t, cloud_of(pred)))
     with eg.no_grad():
         tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
         latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual)
-    override = [None] * cfg.num_groups
-    for patch, patch_index in zip(pred, predicted_indices(cfg, mask)):
-        override[patch_index] = patch
-    return assemble(ps, np.ones(cfg.num_groups, dtype=bool), override_points=override)
+        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual,
+                              on_step=step)
+    return cloud_of(pred)
 
 
-def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0,
-                mask_strategy="random", residual=diffusion.RESIDUAL_SQRT_SIGMA) -> PointCloud:
-    """Mask, encode, sample the masked patches and reassemble the object."""
+def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0, mask_strategy="random",
+                residual=diffusion.RESIDUAL_SQRT_SIGMA, on_step=None) -> PointCloud:
+    """Mask, encode, sample the masked patches and reassemble the object;
+    ``on_step(t, cloud)`` sees the whole cloud after each reverse step."""
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    return _generate(model, ps, mask, schedule, seed, residual)
+    return _generate(model, ps, mask, schedule, seed, residual, on_step)
 
 
 def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,

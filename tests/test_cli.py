@@ -95,8 +95,65 @@ def test_bad_config_key_exits_2(tmp_path, workspace):
     # a key no code reads is not accepted either
     bad.write_text(config.read_text().replace("[train]\n", "[train]\nlog_every = 10\n"))
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    bad.write_text(config.read_text().replace("[schedule]\n", "[schedule]\nresidual = sigma\n"))
+    assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
     bad.write_text("[warp]\nspeed = 9\n")
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+
+
+_PLY = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
+
+
+def _bad_ply(tmp, line, replacement):
+    (tmp / "bad.ply").write_text(_PLY.replace(line, replacement))
+    return ["compress", "--in", str(tmp / "bad.ply")]
+
+
+def _bad_manifest(tmp, spec):
+    (tmp / "data.tsv").write_text(f"a\t{spec}\ttrain\n")
+    (tmp / "run.ini").write_text(f"[run]\nmanifest = {tmp / 'data.tsv'}\n")
+    return ["train-encoder", "--config", str(tmp / "run.ini"), "--out", str(tmp / "o")]
+
+
+def _bad_grid(tmp, grid):
+    for name in ("gen", "ref"):
+        (tmp / name).mkdir()
+        data_io.save_cloud(data_io.synth_shape("sphere", 32, seed=1), tmp / name / "0.ply")
+    return ["eval", "--gen", str(tmp / "gen"), "--ref", str(tmp / "ref"),
+            "--grid", grid, "--out", str(tmp / "m.csv")]
+
+
+def _residual_key(tmp):
+    """A compress run that is valid but for the no longer accepted key."""
+    (tmp / "run.ini").write_text("[model]\nnum_groups = 4\ngroup_size = 8\n"
+                                 "[schedule]\nresidual = sigma\n")
+    data_io.save_cloud(data_io.synth_shape("sphere", 64, seed=1), tmp / "c.ply")
+    return ["compress", "--in", str(tmp / "c.ply"), "--config", str(tmp / "run.ini"),
+            "--out", str(tmp / "c.dpc")]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    pytest.param(lambda tmp: _bad_ply(tmp, "format ascii 1.0", "format"), 1,
+                 id="ply-bare-format"),
+    pytest.param(lambda tmp: _bad_ply(tmp, "element vertex 1", "element"), 1,
+                 id="ply-bare-element"),
+    pytest.param(lambda tmp: _bad_ply(tmp, "element vertex 1", "element vertex -5"), 1,
+                 id="ply-negative-count"),
+    pytest.param(lambda tmp: _bad_ply(tmp, "element vertex 1", "element vertex 4000000000"), 1,
+                 id="ply-count-past-end"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:64"), 1,
+                 id="manifest-synth-fields"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:abc:0:0"), 1,
+                 id="manifest-synth-type"),
+    pytest.param(lambda tmp: _bad_grid(tmp, "0"), 1, id="eval-grid-0"),
+    pytest.param(lambda tmp: _bad_grid(tmp, "-3"), 1, id="eval-grid-negative"),
+    pytest.param(lambda tmp: _residual_key(tmp), 2, id="config-schedule-residual"),
+])
+def test_malformed_input_exits_without_traceback(tmp_path, capsys, make_argv, code):
+    assert run(make_argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_full_pipeline(workspace, capsys):
@@ -218,6 +275,23 @@ def test_trace_latent_records_no_tape(tmp_path, monkeypatch):
     assert run(["trace", "--in", str(cloud), "--ckpt-decoder", str(ckpt),
                 "--out", str(tmp_path / "frames")]) == 0
     assert seen == [()]
+
+
+@pytest.mark.parametrize("strategy", ["random", "block"])
+def test_trace_frames_are_the_reconstruction(tmp_path, strategy):
+    cfg = toy_config(timesteps=3)
+    ckpt = tmp_path / "m.ckpt"
+    training.save_checkpoint(ckpt, cfg, Model.create(cfg, seed=0).params)
+    cloud = tmp_path / "c.ply"
+    data_io.save_cloud(data_io.synth_shape("torus", 128, seed=1), cloud)
+    common = ["--in", str(cloud), "--ckpt-decoder", str(ckpt), "--seed", "5",
+              "--mask-strategy", strategy]
+    assert run(["reconstruct", *common, "--out", str(tmp_path / "recon.ply")]) == 0
+    assert run(["trace", *common, "--out", str(tmp_path / "frames")]) == 0
+    frames = sorted((tmp_path / "frames").glob("step_*.ply"))
+    assert [f.name for f in frames] == ["step_0000.ply", "step_0001.ply", "step_0002.ply"]
+    assert all(len(data_io.load_cloud(f)) == 128 for f in frames)
+    assert frames[-1].read_bytes() == (tmp_path / "recon.ply").read_bytes()
 
 
 def test_run_metadata_records_active_precision(tmp_path):

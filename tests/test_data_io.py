@@ -67,6 +67,24 @@ def test_ply_header_errors(tmp_path):
         data_io.load_cloud(path)
 
 
+_PLY = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
+
+
+@pytest.mark.parametrize("line, replacement, lineno", [
+    ("format ascii 1.0", "format", 2),
+    ("element vertex 1", "element", 3),
+    ("element vertex 1", "element vertex -5", 3),
+    ("element vertex 1", "element vertex 4000000000", 3),
+], ids=["bare-format", "bare-element", "negative-count", "count-past-end"])
+def test_ply_bad_header_line(tmp_path, line, replacement, lineno):
+    path = tmp_path / "bad.ply"
+    path.write_text(_PLY.replace(line, replacement))
+    with pytest.raises(ParseError) as exc:
+        data_io.load_cloud(path)
+    assert exc.value.line == lineno
+
+
 def test_ply_binary_rejected(tmp_path):
     path = tmp_path / "bin.ply"
     path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
@@ -168,6 +186,17 @@ def test_manifest_rejects_duplicates_and_bad_rows(tmp_path):
     path.write_text("only two fields\there\n")
     with pytest.raises(ParseError):
         data_io.read_manifest(path, 64)
+
+
+@pytest.mark.parametrize("spec", [
+    "synth:sphere:64", "synth:sphere:abc:0:0", "synth:sphere:64:x:0", "synth:sphere:64:0:0:1",
+])
+def test_manifest_rejects_bad_synth_spec(tmp_path, spec):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# dataset\na\t{spec}\ttrain\n")
+    with pytest.raises(ParseError) as exc:
+        data_io.read_manifest(path, 64)
+    assert exc.value.line == 2
 
 
 def test_manifest_file_entries(tmp_path, rng):

@@ -105,10 +105,12 @@ def test_perfect_denoiser_fixpoint(T, residual, rng):
 def test_sample_deterministic_and_traced():
     s = build_schedule(20)
     a = sample(lambda x, t: np.zeros_like(x), 16, s, rng_seed=3)
-    b, steps = sample(lambda x, t: np.zeros_like(x), 16, s, rng_seed=3, trace=True)
+    steps = []
+    b = sample(lambda x, t: np.zeros_like(x), 16, s, rng_seed=3,
+               on_step=lambda t, x: steps.append((t, x.copy())))
     assert np.array_equal(a, b)
-    assert len(steps) == 20
-    assert np.array_equal(steps[-1], b)
+    assert [t for t, _ in steps] == list(range(19, -1, -1))
+    assert np.array_equal(steps[-1][1], b)
 
 
 def test_sample_rejects_wrong_decoder_shape():

@@ -44,6 +44,21 @@ def test_reconstruct_preserves_visible_patches(sphere_cloud):
         offset += cfg.group_size
 
 
+@pytest.mark.parametrize("strategy", ["random", "block"])
+@pytest.mark.parametrize("predict_visible", [False, True], ids=["config1", "config2"])
+def test_reconstruct_frames_are_the_cloud(sphere_cloud, predict_visible, strategy):
+    model, schedule = make_model(predict_visible=predict_visible)
+    plain = tasks.reconstruct(sphere_cloud, model, schedule, seed=2, mask_strategy=strategy)
+    frames = []
+    out = tasks.reconstruct(sphere_cloud, model, schedule, seed=2, mask_strategy=strategy,
+                            on_step=lambda t, cloud: frames.append((t, cloud)))
+    assert np.array_equal(out.points, plain.points)
+    assert [t for t, _ in frames] == list(range(schedule.T - 1, -1, -1))
+    assert all(len(cloud) == len(out) for _, cloud in frames)
+    assert np.array_equal(frames[-1][1].points, out.points)
+    assert not np.array_equal(frames[0][1].points, out.points)
+
+
 def test_complete_arity(sphere_cloud):
     model, schedule = make_model()
     cfg = model.cfg

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, data_io, diffusion, metrics, tasks, training
 from . import engine as eg
-from .errors import PointdiffError
+from .errors import InvalidArgument, PointdiffError
 from .model import Model, ModelConfig
 from .training import TrainConfig
 
@@ -78,8 +78,13 @@ def _build_dataclass(cls, raw, overrides):
     return cls(**kwargs)
 
 
-def _schedule_from(raw, args):
-    T = int(args.timesteps or raw.get("timesteps", 200))
+def _schedule_from(raw, T):
+    """The [schedule] noise schedule for a model trained with T steps; a
+    ``timesteps`` key, when given, must repeat T."""
+    if int(raw.get("timesteps", T)) != T:
+        raise InvalidArgument(
+            f"[schedule] timesteps = {raw['timesteps']} differs from the encoder's T = {T}"
+        )
     return diffusion.build_schedule(
         T,
         float(raw.get("beta_start", 1e-4)),
@@ -158,7 +163,7 @@ def cmd_train_decoder(args):
         cfgfile["train"],
         {"seed": args.seed, "mask_strategy": args.mask_strategy, "loss_setting": args.loss_setting},
     )
-    schedule = _schedule_from(cfgfile["schedule"], args)
+    schedule = _schedule_from(cfgfile["schedule"], encoder.cfg.timesteps)
     dataset = _load_dataset(cfgfile["run"])
     out_dir = Path(args.out or cfgfile["run"].get("out_dir", "."))
     write_run_metadata(out_dir, encoder.cfg, train_cfg, cfgfile["schedule"], cfgfile["run"])
@@ -272,7 +277,6 @@ def build_parser():
         "--config": dict(help="run config file (key=value sections)"),
         "--mask-ratio": dict(type=float),
         "--mask-strategy": dict(choices=("random", "block")),
-        "--timesteps": dict(type=int),
         "--loss-setting": dict(choices=("entire_object", "masked_only")),
     }
 
@@ -301,7 +305,7 @@ def build_parser():
     p.set_defaults(func=cmd_train_encoder, _needs_config=True)
 
     p = sub.add_parser("train-decoder", help="train the diffusion decoder")
-    common(p, "--config", "--mask-strategy", "--loss-setting", "--timesteps")
+    common(p, "--config", "--mask-strategy", "--loss-setting")
     p.add_argument("--ckpt-encoder", dest="ckpt_encoder", required=True)
     p.set_defaults(func=cmd_train_decoder, _needs_config=True)
 

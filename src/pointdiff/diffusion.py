@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, ShapeError
+from .errors import InvalidArgument, NonFiniteSample, ShapeError
 
 RESIDUAL_SQRT_SIGMA = "sqrt_sigma"
 RESIDUAL_SIGMA = "sigma"
@@ -103,7 +103,8 @@ def sample(
     prediction of the same shape.  ``on_step(t, x)``, when given, is called
     after each reverse step with the chain's new state x_{t-1}; the call at
     t = 0 receives the returned array itself.  Deterministic given
-    ``rng_seed``.
+    ``rng_seed``.  Raises ``NonFiniteSample`` naming the first t whose
+    prediction or new state holds a NaN or an infinity.
     """
     rng = np.random.default_rng(rng_seed)
     x = rng.standard_normal((n_points, 3))
@@ -112,6 +113,11 @@ def sample(
         if x_rec.shape != x.shape:
             raise ShapeError.mismatch("sample: decoder output", x_rec.shape, x.shape)
         x = reverse_step(x, t, x_rec, schedule, residual=residual)
+        # every coefficient on x_rec is positive, so a non-finite prediction
+        # always leaves a non-finite state: one check covers both
+        if not np.isfinite(x).all():
+            what = "decoder prediction" if not np.isfinite(x_rec).all() else "new state"
+            raise NonFiniteSample(f"sample: non-finite {what} at step t={t}")
         if on_step is not None:
             on_step(t, x)
     return x

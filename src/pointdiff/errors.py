@@ -37,3 +37,7 @@ class CorruptCheckpoint(PointdiffError):
 
 class CorruptBlob(PointdiffError):
     """Compressed blob failed integrity validation."""
+
+
+class NonFiniteSample(PointdiffError):
+    """A reverse-diffusion step produced a NaN or an infinity."""

@@ -120,8 +120,14 @@ def one_nn_cd(gen_set, ref_set):
     return _mean_of_row_minima(cd)
 
 
+# flat cell indices reach grid**3, which must stay inside int64
+_MAX_GRID = 2**20
+
+
 def _occupancy(clouds, resolution):
-    hist = np.zeros(resolution**3, dtype=np.float64)
+    """The occupied cells of the ``resolution``^3 voxel grid, in ascending
+    flat-index order, and the share of all points each one holds."""
+    flat = []
     for cloud in clouds:
         pts = _as_points(cloud)
         if np.any(pts < -0.5) or np.any(pts > 0.5):
@@ -129,29 +135,35 @@ def _occupancy(clouds, resolution):
             raise InvalidArgument(f"jsd requires points in [-0.5, 0.5]^3, found {bad}")
         cells = np.floor((pts + 0.5) * resolution).astype(np.int64)
         np.clip(cells, 0, resolution - 1, out=cells)  # upper boundary into last voxel
-        flat = (cells[:, 0] * resolution + cells[:, 1]) * resolution + cells[:, 2]
-        np.add.at(hist, flat, 1.0)
-    return hist / hist.sum()
+        flat.append((cells[:, 0] * resolution + cells[:, 1]) * resolution + cells[:, 2])
+    occupied, counts = np.unique(np.concatenate(flat), return_counts=True)
+    return occupied, counts / counts.sum()
 
 
-def _kl(p, q):
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _kl(cells_p, p, cells_q, q):
+    """KL(p || (p + q) / 2) over the occupied cells of ``p``, in their order."""
+    q_at_p = np.zeros_like(p)
+    pos = np.minimum(np.searchsorted(cells_q, cells_p), len(cells_q) - 1)
+    hit = cells_q[pos] == cells_p
+    q_at_p[hit] = q[pos[hit]]
+    return float(np.sum(p * np.log(p / (0.5 * (p + q_at_p)))))
 
 
 def jsd(gen_set, ref_set, grid_resolution=32):
     """Jensen-Shannon divergence between voxel-occupancy distributions.
 
-    Natural log, so the value is bounded by ln 2.
+    Natural log, so the value is bounded by ln 2.  Only occupied cells are
+    held, so the cost follows the point count, not ``grid_resolution``^3.
     """
     if not len(gen_set) or not len(ref_set):
         raise InvalidArgument("jsd: both sets must be non-empty")
-    if grid_resolution < 1:
-        raise InvalidArgument(f"jsd: grid_resolution must be >= 1, got {grid_resolution}")
+    if not 1 <= grid_resolution <= _MAX_GRID:
+        raise InvalidArgument(
+            f"jsd: grid_resolution must be in [1, {_MAX_GRID}], got {grid_resolution}"
+        )
     p = _occupancy(gen_set, grid_resolution)
     q = _occupancy(ref_set, grid_resolution)
-    m = 0.5 * (p + q)
-    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+    return 0.5 * _kl(*p, *q) + 0.5 * _kl(*q, *p)
 
 
 @dataclass

@@ -7,6 +7,10 @@ masked points, concatenates them after the visible latent in a fixed
 [visible..., masked...] order, adds positional and time embeddings and runs
 its own transformer with a normalization after every block.  Prediction
 heads emit center-relative point offsets.
+
+Every layer works on a batch of B clouds along a leading axis; inference is
+the same code at B = 1.  Each cloud's rows are computed by their own matrix
+products, so a cloud's outputs do not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -77,11 +81,12 @@ class ModelConfig:
 
 @dataclass
 class LatentSet:
-    """Visible-token latent plus the geometry needed to decode it."""
+    """Visible-token latents of B clouds plus the geometry needed to decode
+    them.  Every mask hides the same number of patches."""
 
-    tokens: Tensor  # (V, L)
-    centers: np.ndarray  # (G, 3), ordered by patch index
-    mask: MaskSpec
+    tokens: Tensor  # (B, V, L)
+    centers: np.ndarray  # (B, G, 3), ordered by patch index
+    masks: tuple  # B MaskSpecs
 
 
 def predicted_indices(cfg: ModelConfig, mask: MaskSpec):
@@ -182,16 +187,16 @@ def _ln(p, name, x):
 def token_embed(params, patches, cfg: ModelConfig):
     """Per-patch token: shared point-wise affine + GELU, max-pool, affine.
 
-    ``patches`` is (P, group_size, 3) center-relative; the max-pool makes the
-    token exactly invariant to point order within a patch.
+    ``patches`` is (B, P, group_size, 3) center-relative; the max-pool makes
+    the token exactly invariant to point order within a patch.
     """
     patches = np.asarray(patches) if not isinstance(patches, Tensor) else patches
-    if patches.shape[-2:] != (cfg.group_size, 3):
+    if patches.ndim != 4 or patches.shape[-2:] != (cfg.group_size, 3):
         raise ShapeError(
-            f"token_embed: expected (*, {cfg.group_size}, 3) patches, got {patches.shape}"
+            f"token_embed: expected (B, P, {cfg.group_size}, 3) patches, got {patches.shape}"
         )
     h = eg.gelu(_aff(params, "enc.token.fc1", eg.as_tensor(patches)))
-    pooled = eg.max_pool(h, axis=1)
+    pooled = eg.max_pool(h, axis=2)
     return _aff(params, "enc.token.fc2", pooled)
 
 
@@ -201,18 +206,18 @@ def pos_embed(params, centers, prefix="enc.pos"):
 
 
 def _attention(params, x, prefix, heads):
-    n, L = x.shape
+    B, n, L = x.shape
     d = L // heads
-    q = _aff(params, f"{prefix}.attn.q", x)
-    k = _aff(params, f"{prefix}.attn.k", x)
-    v = _aff(params, f"{prefix}.attn.v", x)
-    # (n, L) -> (heads, n, d)
-    q = eg.transpose(eg.reshape(q, (n, heads, d)), (1, 0, 2))
-    k = eg.transpose(eg.reshape(k, (n, heads, d)), (1, 0, 2))
-    v = eg.transpose(eg.reshape(v, (n, heads, d)), (1, 0, 2))
+
+    def heads_of(part):
+        # (B, n, L) -> (B * heads, n, d)
+        y = eg.reshape(_aff(params, f"{prefix}.attn.{part}", x), (B, n, heads, d))
+        return eg.reshape(eg.transpose(y, (0, 2, 1, 3)), (B * heads, n, d))
+
+    q, k, v = heads_of("q"), heads_of("k"), heads_of("v")
     scores = eg.scale(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    attn = eg.matmul(eg.softmax(scores, axis=-1), v)
-    merged = eg.reshape(eg.transpose(attn, (1, 0, 2)), (n, L))
+    attn = eg.reshape(eg.matmul(eg.softmax(scores, axis=-1), v), (B, heads, n, d))
+    merged = eg.reshape(eg.transpose(attn, (0, 2, 1, 3)), (B, n, L))
     return _aff(params, f"{prefix}.attn.o", merged)
 
 
@@ -227,8 +232,9 @@ def transformer_block(params, x, prefix, heads):
 # encoder
 
 def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
-    """Encoder core on explicit visible patches (compression path uses this
-    directly, bypassing segmentation)."""
+    """Encoder core on explicit visible patches, (B, V, group_size, 3) with
+    their (B, V, 3) centers; returns (B, V, L) tokens.  The compression
+    path uses this directly, bypassing segmentation."""
     tokens = token_embed(params, vis_patches, cfg)
     if cfg.use_position_embedding:
         tokens = eg.add(tokens, pos_embed(params, vis_centers, "enc.pos"))
@@ -238,81 +244,93 @@ def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
 
 
 def encode(params, cloud: PointCloud, mask: MaskSpec, cfg: ModelConfig) -> LatentSet:
-    """Segment the cloud and encode its visible patches."""
+    """Segment the cloud and encode its visible patches: a batch of one."""
     patchset = segment(cloud, cfg.num_groups, cfg.group_size)
     vis = mask.visible_indices
-    tokens = encode_patches(params, patchset.patches[vis], patchset.centers[vis], cfg)
-    return LatentSet(tokens=tokens, centers=patchset.centers, mask=mask)
+    tokens = encode_patches(params, patchset.patches[vis][None], patchset.centers[vis][None], cfg)
+    return LatentSet(tokens=tokens, centers=patchset.centers[None], masks=(mask,))
 
 
 def encoder_pretrain_head(params, tokens, cfg: ModelConfig):
-    """Affine L -> group_size*3, reshaped to center-relative patches."""
-    n = tokens.shape[0]
+    """Affine L -> group_size*3, reshaped to (B, V, group_size, 3)
+    center-relative patches."""
+    B, n = tokens.shape[:2]
     flat = _aff(params, "enc.head", tokens)
-    return eg.reshape(flat, (n, cfg.group_size, 3))
+    return eg.reshape(flat, (B, n, cfg.group_size, 3))
 
 
 # ---------------------------------------------------------------------------
 # decoder
 
 def sinusoid(t, width):
-    """Sinusoidal timestep vector: sin block then cos block, base 10000."""
+    """Sinusoidal timestep vector: sin block then cos block, base 10000.
+    An array of timesteps gives one vector per entry along a last axis."""
     half = width // 2
     freqs = np.power(10000.0, -np.arange(half) / half)
-    return np.concatenate([np.sin(t * freqs), np.cos(t * freqs)])
+    t = np.asarray(t)[..., None]
+    return np.concatenate([np.sin(t * freqs), np.cos(t * freqs)], axis=-1)
 
 
 def time_embed(params, t, cfg: ModelConfig):
-    if not 0 <= t < cfg.timesteps:
-        raise InvalidArgument(f"timestep {t} out of range [0, {cfg.timesteps})")
-    base = sinusoid(t, cfg.latent_width)
-    return eg.gelu(_aff(params, "dec.time", eg.reshape(eg.as_tensor(base), (1, cfg.latent_width))))
+    """(B, 1, L) embedding of the B timesteps ``t``, one per cloud."""
+    t = np.asarray(t)
+    if t.ndim != 1 or np.any((t < 0) | (t >= cfg.timesteps)):
+        raise InvalidArgument(f"timesteps {t} must be one per cloud in [0, {cfg.timesteps})")
+    base = sinusoid(t, cfg.latent_width)[:, None, :]
+    return eg.gelu(_aff(params, "dec.time", eg.as_tensor(base)))
 
 
 def mask_tokenize(params, noisy_points, n_patches, cfg: ModelConfig):
-    """Shared affine on each flattened noisy patch, then GELU."""
+    """Shared affine on each flattened noisy patch, then GELU:
+    (B, n_patches * patch_points, 3) points -> (B, n_patches, L)."""
     noisy_points = np.asarray(noisy_points)
     expected = n_patches * cfg.patch_points
-    if noisy_points.shape != (expected, 3):
+    if noisy_points.ndim != 3 or noisy_points.shape[1:] != (expected, 3):
         raise ShapeError(
-            f"mask_tokenize: expected ({expected}, 3) points for {n_patches} patches, "
+            f"mask_tokenize: expected (B, {expected}, 3) points for {n_patches} patches, "
             f"got {noisy_points.shape}"
         )
-    flat = eg.reshape(eg.as_tensor(noisy_points), (n_patches, cfg.patch_points * 3))
+    flat = eg.as_tensor(noisy_points.reshape(-1, n_patches, cfg.patch_points * 3))
     return eg.gelu(_aff(params, "dec.mask_token", flat))
 
 
 def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
     """Predict center-relative points for the patches ``predicted_indices``
-    names, in its order.
+    names, in its order, for each of the B clouds of ``latent``.
 
-    ``x_t`` is the flat noisy point block of those patches,
-    (n_pred * patch_points, 3).  Returns a (n_pred, patch_points, 3) tensor.
+    ``x_t`` is (B, n_pred * patch_points, 3): each cloud's flat noisy point
+    block of those patches.  ``t`` holds one timestep per cloud.  Returns a
+    (B, n_pred, patch_points, 3) tensor.
     """
-    mask = latent.mask
-    vis_idx = mask.visible_indices
-    msk_idx = mask.masked_indices
-    n_vis, n_msk = vis_idx.size, msk_idx.size
-    n_pred = predicted_indices(cfg, mask).size
-    if latent.tokens.shape[0] != n_vis:
+    B, n_vis = latent.tokens.shape[:2]
+    masks = latent.masks
+    G = latent.centers.shape[1]
+    if len(masks) != B or any((m.num_groups, m.visible_indices.size) != (G, n_vis) for m in masks):
         raise InvalidArgument(
-            f"latent holds {latent.tokens.shape[0]} tokens but mask has {n_vis} visible patches"
+            f"latent of {B} clouds, {n_vis} tokens and {G} centers each, does not match its "
+            f"masks' (patches, visible): {[(m.num_groups, m.visible_indices.size) for m in masks]}"
         )
+    vis_idx = np.stack([m.visible_indices for m in masks])
+    msk_idx = np.stack([m.masked_indices for m in masks])
+    n_msk = msk_idx.shape[1]
+    n_pred = predicted_indices(cfg, masks[0]).size
 
     noise_tokens = mask_tokenize(params, x_t, n_pred, cfg)
     if cfg.predict_visible:
-        tok_vis, tok_msk = eg.split(noise_tokens, [n_vis, n_msk], axis=0)
-        seq = eg.concat([eg.add(latent.tokens, tok_vis), tok_msk], axis=0)
+        tok_vis, tok_msk = eg.split(noise_tokens, [n_vis, n_msk], axis=1)
+        seq = eg.concat([eg.add(latent.tokens, tok_vis), tok_msk], axis=1)
     else:
-        seq = eg.concat([latent.tokens, noise_tokens], axis=0)
+        seq = eg.concat([latent.tokens, noise_tokens], axis=1)
 
-    pe_vis = pos_embed(params, latent.centers[vis_idx], "dec.pos")
+    def centers_at(idx):
+        return np.take_along_axis(latent.centers, idx[..., None], axis=1)
+
+    pe_vis = pos_embed(params, centers_at(vis_idx), "dec.pos")
     if cfg.use_position_embedding:
-        pe_msk = pos_embed(params, latent.centers[msk_idx], "dec.pos")
-        pe = eg.concat([pe_vis, pe_msk], axis=0)
+        pe_msk = pos_embed(params, centers_at(msk_idx), "dec.pos")
     else:
-        pe = eg.concat([pe_vis, Tensor(np.zeros((n_msk, cfg.latent_width)))], axis=0)
-    seq = eg.add(seq, pe)
+        pe_msk = Tensor(np.zeros((B, n_msk, cfg.latent_width)))
+    seq = eg.add(seq, eg.concat([pe_vis, pe_msk], axis=1))
     seq = eg.add(seq, time_embed(params, t, cfg))
 
     for i in range(cfg.dec_blocks):
@@ -320,10 +338,10 @@ def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
         seq = _ln(params, f"dec.post_ln{i}", seq)
 
     # the sequence is [visible..., masked...]; the predictions are its last n_pred rows
-    if n_pred < seq.shape[0]:
-        _, seq = eg.split(seq, [seq.shape[0] - n_pred, n_pred], axis=0)
+    if n_pred < seq.shape[1]:
+        _, seq = eg.split(seq, [seq.shape[1] - n_pred, n_pred], axis=1)
     flat = _aff(params, "dec.head", seq)
-    return eg.reshape(flat, (n_pred, cfg.patch_points, 3))
+    return eg.reshape(flat, (B, n_pred, cfg.patch_points, 3))
 
 
 # ---------------------------------------------------------------------------

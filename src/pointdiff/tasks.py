@@ -40,16 +40,18 @@ _DIGEST_BYTES = 16
 
 def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
                    residual=diffusion.RESIDUAL_SQRT_SIGMA, on_step=None):
-    """Run the reverse chain, recording no autograd graph, and return
-    center-relative predictions at ``patch_points`` density for the patches
-    ``model.predicted_indices`` names, in its order.  ``on_step(t, x)``, when
-    given, sees the chain's state in that layout after each reverse step.
+    """Run the reverse chain for the one cloud of ``latent``, recording no
+    autograd graph, and return center-relative predictions at
+    ``patch_points`` density for the patches ``model.predicted_indices``
+    names, in its order.  ``on_step(t, x)``, when given, sees the chain's
+    state in that layout after each reverse step.
     """
     cfg = model.cfg
-    shape = (predicted_indices(cfg, latent.mask).size, cfg.patch_points, 3)
+    (mask,) = latent.masks
+    shape = (predicted_indices(cfg, mask).size, cfg.patch_points, 3)
 
     def decoder_fn(x_t, t):
-        return model.decode(latent, x_t, t).data.reshape(-1, 3)
+        return model.decode(latent, x_t[None], [t]).data.reshape(-1, 3)
 
     step = None if on_step is None else (lambda t, x: on_step(t, x.reshape(shape)))
     with eg.no_grad():
@@ -74,8 +76,8 @@ def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residu
 
     step = None if on_step is None else (lambda t, pred: on_step(t, cloud_of(pred)))
     with eg.no_grad():
-        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
-        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
+        tokens = encode_patches(model.params, ps.patches[vis][None], ps.centers[vis][None], cfg)
+        latent = LatentSet(tokens=tokens, centers=ps.centers[None], masks=(mask,))
         pred = sample_patches(model, latent, schedule, seed=seed, residual=residual,
                               on_step=step)
     return cloud_of(pred)

@@ -8,7 +8,6 @@ two loss inputs: the entire assembled object or the masked region only.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -22,7 +21,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Tensor
 from .diffusion import NoiseSchedule, q_sample
-from .errors import CorruptCheckpoint, InvalidArgument, UnsupportedVersion
+from .errors import CorruptCheckpoint, InvalidArgument, ShapeError, UnsupportedVersion
 from .geometry import PointCloud, nearest_indices, segment
 from .model import (
     LatentSet,
@@ -69,28 +68,51 @@ class TrainConfig:
 # differentiable chamfer
 
 
-def chamfer_loss(pred, target):
-    """Chamfer-L2 between a predicted tensor (n, 3) and a fixed target (m, 3).
+def chamfer_loss(pred, targets):
+    """Mean over a batch of the Chamfer-L2 between each predicted cloud of
+    ``pred`` (B, n, 3) and its fixed target ``targets[b]`` (m_b, 3).
 
-    Nearest-neighbor assignments are found on the current values; gradients
-    flow through the matched coordinate differences.
+    Nearest-neighbor assignments are found per cloud on the current values;
+    gradients flow through the matched coordinate differences, which are
+    gathered for the whole batch at once.  Targets may differ in size.
     """
-    target = np.asarray(target, dtype=pred.data.dtype)
-    idx_fwd, idx_bwd = nearest_indices(pred.data, target)
+    B, n, _ = pred.shape
+    if len(targets) != B:
+        raise ShapeError(f"chamfer_loss: {len(targets)} targets for a batch of {B}")
+    targets = [np.asarray(target, dtype=pred.data.dtype) for target in targets]
+    matched, rows, weights = [], [], []
+    for b, target in enumerate(targets):
+        idx_fwd, idx_bwd = nearest_indices(pred.data[b], target)
+        matched.append(target[idx_fwd])
+        rows.append(idx_bwd + b * n)  # row of the flattened (B * n, 3) batch
+        weights.append(np.full(len(target), 1.0 / (B * len(target))))
 
-    diff_fwd = eg.sub(pred, Tensor(target[idx_fwd]))
-    term_fwd = eg.mean(eg.sum_(eg.mul(diff_fwd, diff_fwd), axis=1))
-    gathered = eg.embedding_lookup(pred, idx_bwd)
-    diff_bwd = eg.sub(gathered, Tensor(target))
-    term_bwd = eg.mean(eg.sum_(eg.mul(diff_bwd, diff_bwd), axis=1))
+    diff_fwd = eg.sub(pred, Tensor(np.stack(matched)))
+    term_fwd = eg.mean(eg.sum_(eg.mul(diff_fwd, diff_fwd), axis=-1))
+    gathered = eg.embedding_lookup(eg.reshape(pred, (B * n, 3)), np.concatenate(rows))
+    diff_bwd = eg.sub(gathered, Tensor(np.concatenate(targets)))
+    sq_bwd = eg.sum_(eg.mul(diff_bwd, diff_bwd), axis=1)
+    term_bwd = eg.sum_(eg.mul(sq_bwd, Tensor(np.concatenate(weights))))
     return eg.add(term_fwd, term_bwd)
 
 
 def _pred_to_points(pred, centers):
-    """(n_patch, pts, 3) relative predictions -> flat (n_patch*pts, 3) tensor."""
-    n, pts, _ = pred.shape
-    shifted = eg.add(pred, Tensor(centers[:, None, :]))
-    return eg.reshape(shifted, (n * pts, 3))
+    """(B, n_patch, pts, 3) relative predictions and their (B, n_patch, 3)
+    centers -> flat (B, n_patch*pts, 3) tensor."""
+    B, n, pts, _ = pred.shape
+    shifted = eg.add(pred, Tensor(centers[:, :, None, :]))
+    return eg.reshape(shifted, (B, n * pts, 3))
+
+
+def _visible_batch(patchsets, items, masks):
+    """A batch's visible patches (B, V, N, 3) and their centers (B, V, 3)."""
+    vis = [(patchsets[i], mask.visible_indices) for i, mask in zip(items, masks)]
+    return np.stack([ps.patches[v] for ps, v in vis]), np.stack([ps.centers[v] for ps, v in vis])
+
+
+def _absolute(patches, centers):
+    """(B, P, N, 3) center-relative patches -> (B, P * N, 3) world points."""
+    return (patches + centers[:, :, None, :]).reshape(len(patches), -1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +255,14 @@ def _segment_dataset(dataset, cfg: ModelConfig):
     return clouds, [segment(c, cfg.num_groups, cfg.group_size) for c in clouds]
 
 
-def _fit(model, prefix, patchsets, train_cfg: TrainConfig, item_loss):
+def _fit(model, prefix, patchsets, train_cfg: TrainConfig, batch_loss):
     """Adam on the ``prefix`` parameters of ``model`` with every other
     parameter frozen; returns the per-epoch mean batch losses.
 
     Dataset item ``i`` draws the mask keyed by
-    ``(seed, _mask_key(train_cfg, epoch), i)`` and contributes
-    ``item_loss(epoch, i, mask)``.
+    ``(seed, _mask_key(train_cfg, epoch), i)``.  Each optimizer step takes
+    one ``batch_loss(epoch, items, masks)`` over a batch's item indices and
+    their masks, and one backward walk.
     """
     model.set_trainable("", False)
     model.set_trainable(prefix, True)
@@ -249,15 +272,16 @@ def _fit(model, prefix, patchsets, train_cfg: TrainConfig, item_loss):
     for epoch in range(train_cfg.epochs):
         epoch_losses = []
         for start in range(0, len(patchsets), train_cfg.batch_size):
-            losses = []
-            for i in range(start, min(start + train_cfg.batch_size, len(patchsets))):
-                mask = model.draw_mask(
+            items = range(start, min(start + train_cfg.batch_size, len(patchsets)))
+            masks = [
+                model.draw_mask(
                     (train_cfg.seed, _mask_key(train_cfg, epoch), i),
                     centers=patchsets[i].centers,
                     strategy=train_cfg.mask_strategy,
                 )
-                losses.append(item_loss(epoch, i, mask))
-            loss = _batch_mean(losses)
+                for i in items
+            ]
+            loss = batch_loss(epoch, items, masks)
             grads = eg.backward(loss, params)
             eg.adam_step(params, grads, opt_state, train_cfg.lr)
             eg.zero_grads(params)
@@ -270,14 +294,6 @@ def _mask_key(train_cfg, epoch):
     if train_cfg.remask_every == 0:
         return 0
     return epoch // train_cfg.remask_every
-
-
-def _batch_mean(losses):
-    """Mean batch loss, summed as (l0 + (l1 + ... + l_{B-1})) / B."""
-    total = losses[0]
-    if len(losses) > 1:
-        total = eg.add(total, functools.reduce(eg.add, losses[1:]))
-    return eg.scale(total, 1.0 / len(losses))
 
 
 def _checkpoints(curve, every):
@@ -297,14 +313,13 @@ def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, mo
     if model is None:
         model = Model.create(model_cfg, seed=train_cfg.seed)
 
-    def item_loss(epoch, i, mask):
-        ps, vis = patchsets[i], mask.visible_indices
-        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], model_cfg)
+    def batch_loss(epoch, items, masks):
+        patches, centers = _visible_batch(patchsets, items, masks)
+        tokens = encode_patches(model.params, patches, centers, model_cfg)
         pred = encoder_pretrain_head(model.params, tokens, model_cfg)
-        pred_pts = _pred_to_points(pred, ps.centers[vis])
-        return chamfer_loss(pred_pts, ps.absolute(vis).reshape(-1, 3))
+        return chamfer_loss(_pred_to_points(pred, centers), _absolute(patches, centers))
 
-    return model, _fit(model, "enc.", patchsets, train_cfg, item_loss)
+    return model, _fit(model, "enc.", patchsets, train_cfg, batch_loss)
 
 
 def train_decoder(
@@ -338,29 +353,36 @@ def train_decoder(
     else:
         targets = patchsets
 
-    def item_loss(epoch, i, mask):
-        ps, target_ps = patchsets[i], targets[i]
-        vis, msk = mask.visible_indices, mask.masked_indices
-        rows = predicted_indices(cfg, mask)
-        # the encoder is frozen: this forward records no graph
-        tokens = encode_patches(model.params, ps.patches[vis], ps.centers[vis], cfg)
+    def noisy(epoch, i, rows):
+        """Item ``i``'s timestep and its corrupted ``rows`` patches."""
         rng = np.random.default_rng((train_cfg.seed, epoch, i, 1))
         t = int(rng.integers(schedule.T))
-        x0 = target_ps.patches[rows].reshape(-1, 3)
-        x_t = q_sample(x0, t, rng.standard_normal(x0.shape), schedule)
-        latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-        pred_pts = _pred_to_points(decode(model.params, latent, x_t, t, cfg), ps.centers[rows])
+        x0 = targets[i].patches[rows].reshape(-1, 3)
+        return t, q_sample(x0, t, rng.standard_normal(x0.shape), schedule)
+
+    def batch_loss(epoch, items, masks):
+        patches, centers = _visible_batch(patchsets, items, masks)
+        # the encoder is frozen: this forward records no graph
+        tokens = encode_patches(model.params, patches, centers, cfg)
+        rows = [predicted_indices(cfg, m) for m in masks]
+        ts, x_t = zip(*(noisy(epoch, i, r) for i, r in zip(items, rows)))
+        latent = LatentSet(tokens=tokens, masks=tuple(masks),
+                           centers=np.stack([patchsets[i].centers for i in items]))
+        pred_pts = _pred_to_points(
+            decode(model.params, latent, np.stack(x_t), ts, cfg),
+            np.stack([patchsets[i].centers[r] for i, r in zip(items, rows)]),
+        )
         if train_cfg.loss_setting is LossSetting.MASKED_ONLY:
             if cfg.predict_visible:  # masked rows come last
-                n_msk = msk.size * cfg.patch_points
-                _, pred_pts = eg.split(pred_pts, [pred_pts.shape[0] - n_msk, n_msk], axis=0)
-            return chamfer_loss(pred_pts, target_ps.absolute(msk).reshape(-1, 3))
+                n_msk = masks[0].masked_indices.size * cfg.patch_points
+                _, pred_pts = eg.split(pred_pts, [pred_pts.shape[1] - n_msk, n_msk], axis=1)
+            return chamfer_loss(pred_pts, [targets[i].absolute(m.masked_indices).reshape(-1, 3)
+                                           for i, m in zip(items, masks)])
         if not cfg.predict_visible:
-            vis_pts = Tensor(ps.absolute(vis).reshape(-1, 3))
-            pred_pts = eg.concat([vis_pts, pred_pts], axis=0)
-        return chamfer_loss(pred_pts, clouds[i].points)
+            pred_pts = eg.concat([Tensor(_absolute(patches, centers)), pred_pts], axis=1)
+        return chamfer_loss(pred_pts, [clouds[i].points for i in items])
 
-    curve = _fit(model, "dec.", patchsets, train_cfg, item_loss)
+    curve = _fit(model, "dec.", patchsets, train_cfg, batch_loss)
     return model, curve, _checkpoints(curve, train_cfg.checkpoint_every)
 
 

@@ -172,12 +172,12 @@ def test_criterion_03_gradient_suite(capfd):
         x_t = diffusion.q_sample(ps.patches[msk].reshape(-1, 3), 2, eps, schedule)
 
         def full_loss(p_dict):
-            tokens = encode_patches(p_dict, ps.patches[vis], ps.centers[vis], cfg)
-            latent = LatentSet(tokens=tokens, centers=ps.centers, mask=mask)
-            pred = decode(p_dict, latent, x_t, 2, cfg)
-            pred_pts = _pred_to_points(pred, ps.centers[msk])
-            vis_pts = Tensor(ps.absolute(vis).reshape(-1, 3))
-            return chamfer_loss(eg.concat([vis_pts, pred_pts], axis=0), cloud.points)
+            tokens = encode_patches(p_dict, ps.patches[vis][None], ps.centers[vis][None], cfg)
+            latent = LatentSet(tokens=tokens, centers=ps.centers[None], masks=(mask,))
+            pred = decode(p_dict, latent, x_t[None], [2], cfg)
+            pred_pts = _pred_to_points(pred, ps.centers[msk][None])
+            vis_pts = Tensor(ps.absolute(vis).reshape(1, -1, 3))
+            return chamfer_loss(eg.concat([vis_pts, pred_pts], axis=1), [cloud.points])
 
         for name in sorted(params):
             others = dict(params)
@@ -250,6 +250,7 @@ def test_criterion_06_encoder_overfit(capfd, encoder_overfit):
            f"loss {init:.3e} -> {final:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_07_decoder_overfit(capfd, decoder_overfit):
     clouds, model, schedule, curve, ckpts, recons = decoder_overfit
     means = [m for _, m in ckpts]
@@ -265,6 +266,7 @@ def test_criterion_07_decoder_overfit(capfd, decoder_overfit):
            f"final {curve[-1]:.3e}, MMD ratio {m_noise / m_rec:.1f}x")
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_direction(capfd, decoder_overfit):
     clouds, model, schedule, _, _, recons = decoder_overfit
     cfg = model.cfg
@@ -288,8 +290,9 @@ class StubDecoderModel(Model):
 
     def decode(self, latent, x_t, t):
         cfg = self.cfg
-        n = cfg.num_groups if cfg.predict_visible else latent.mask.masked_indices.size
-        return Tensor(np.zeros((n, cfg.patch_points, 3)))
+        (mask,) = latent.masks
+        n = cfg.num_groups if cfg.predict_visible else mask.masked_indices.size
+        return Tensor(np.zeros((1, n, cfg.patch_points, 3)))
 
 
 def test_criterion_09_arity_fuzz(capfd):
@@ -372,6 +375,7 @@ def test_criterion_10_codec(capfd, sphere_cloud):
            f"{elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(capfd, encoder_overfit, decoder_overfit):
     model6, curve6 = encoder_overfit
     model6b, curve6b = run_encoder_overfit()

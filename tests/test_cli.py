@@ -211,6 +211,45 @@ def test_full_pipeline(workspace, capsys):
     assert "mmd_cd" in csv.read_text()
 
 
+def test_train_decoder_schedule_must_repeat_the_encoder_T(workspace, capsys):
+    ws, config = workspace
+    enc_dir = ws / "enc"
+    assert run(["train-encoder", "--config", str(config), "--out", str(enc_dir)]) == 0
+    capsys.readouterr()
+    config.write_text(config.read_text().replace("[schedule]\ntimesteps = 3",
+                                                 "[schedule]\ntimesteps = 4"))
+    dec_dir = ws / "dec"
+    assert run(["train-decoder", "--config", str(config),
+                "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "timesteps = 4" in err and "T = 3" in err
+    assert not (dec_dir / "resolved_config.ini").exists()
+
+
+def test_non_finite_sampling_exits_1(tmp_path, capsys):
+    cfg = toy_config(timesteps=3)
+    model = Model.create(cfg, seed=0)
+    model.params["dec.head.b"].data[0] = float("nan")
+    ckpt = tmp_path / "nan.ckpt"
+    training.save_checkpoint(ckpt, cfg, model.params)
+    cloud = tmp_path / "c.ply"
+    data_io.save_cloud(data_io.synth_shape("sphere", 128, seed=1), cloud)
+    out = tmp_path / "recon.ply"
+    assert run(["reconstruct", "--in", str(cloud), "--ckpt-decoder", str(ckpt),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sample: non-finite decoder prediction at step t=2\n"
+    assert not out.exists()
+
+
+def test_eval_grid_beyond_dense_memory(tmp_path, capsys):
+    # a dense 100000^3 histogram would need 8 PB; occupied cells need a few
+    argv = _bad_grid(tmp_path, "100000")
+    assert run(argv) == 0
+    assert "jsd" in capsys.readouterr().out
+    assert run(argv[:-4] + ["--grid", str(2**20 + 1), "--out", argv[-1]]) == 1
+
+
 def test_reconstruct_determinism_via_cli(workspace):
     ws, config = workspace
     enc_dir = ws / "enc"
@@ -249,6 +288,8 @@ _CKPT_ARGS = ["--in", "c.ply", "--ckpt-decoder", "m.ckpt"]
     (["compress", "--in", "c.ply"], ["--timesteps", "3"]),
     (["compress", "--in", "c.ply"], ["--loss-setting", "masked_only"]),
     (["train-encoder", "--config", "x.ini"], ["--timesteps", "3"]),
+    # the decoder trains on the encoder checkpoint's T
+    (["train-decoder", "--config", "x.ini", "--ckpt-encoder", "e.ckpt"], ["--timesteps", "3"]),
     (["train-decoder", "--config", "x.ini", "--ckpt-encoder", "e.ckpt"], ["--mask-ratio", "0.5"]),
 ], ids=lambda a: a[0])
 def test_removed_flags_exit_2(argv, removed):

@@ -9,7 +9,7 @@ from pointdiff.diffusion import (
     reverse_step,
     sample,
 )
-from pointdiff.errors import InvalidArgument
+from pointdiff.errors import InvalidArgument, NonFiniteSample, PointdiffError
 
 
 def test_schedule_endpoints_and_shapes():
@@ -119,3 +119,28 @@ def test_sample_rejects_wrong_decoder_shape():
     s = build_schedule(5)
     with pytest.raises(ShapeError):
         sample(lambda x, t: np.zeros((3, 3)), 16, s)
+
+
+@pytest.mark.parametrize("bad_t, value", [(3, np.nan), (0, np.inf), (5, -np.inf)])
+def test_sample_names_the_first_non_finite_step(bad_t, value):
+    schedule = build_schedule(6)
+    calls = []
+
+    def decoder(x, t):
+        calls.append(t)
+        return np.full_like(x, value) if t <= bad_t else np.zeros_like(x)
+
+    with pytest.raises(NonFiniteSample, match=f"decoder prediction at step t={bad_t}$"):
+        sample(decoder, 10, schedule, rng_seed=1, on_step=lambda t, x: calls.append(("step", t)))
+    # the chain stops at that step, before handing its state on
+    assert calls[-1] == bad_t and ("step", bad_t) not in calls
+    assert issubclass(NonFiniteSample, PointdiffError)
+
+
+def test_sample_reports_a_state_that_overflows():
+    # the largest finite prediction: x_3 stays finite, and x_2, which adds a
+    # second near-maximal term to it, overflows
+    schedule = build_schedule(4)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteSample,
+                                                   match="new state at step t=2$"):
+        sample(lambda x, t: np.full_like(x, np.finfo(np.float64).max), 5, schedule)

@@ -105,6 +105,42 @@ def test_jsd_rejects_out_of_range_points(rng):
         metrics.jsd([rng.normal(size=(8, 3)) * 10], [np.zeros((4, 3))])
 
 
+def _dense_jsd(gen_set, ref_set, res):
+    """JSD from dense res^3 histograms, the definition the sparse cells keep."""
+    def occupancy(clouds):
+        hist = np.zeros(res**3)
+        for pts in clouds:
+            cells = np.clip(np.floor((pts + 0.5) * res).astype(np.int64), 0, res - 1)
+            np.add.at(hist, (cells[:, 0] * res + cells[:, 1]) * res + cells[:, 2], 1.0)
+        return hist / hist.sum()
+
+    def kl(p, q):
+        mask = p > 0
+        return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+    p, q = occupancy(gen_set), occupancy(ref_set)
+    m = 0.5 * (p + q)
+    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+
+
+def test_jsd_occupied_cells_equal_dense_histogram(rng):
+    for _ in range(5):
+        gen = bounded_clouds(rng, 3, max_pts=400)
+        ref = [0.5 * c for c in bounded_clouds(rng, 2, max_pts=400)]  # partial overlap
+        assert metrics.jsd(gen, ref, 32) == _dense_jsd(gen, ref, 32)
+    # points on the upper boundary fall into the last cell on both paths
+    edge = [np.array([[0.5, 0.5, 0.5], [-0.5, 0.0, 0.5]])]
+    assert metrics.jsd(edge, gen, 32) == _dense_jsd(edge, gen, 32)
+
+
+def test_jsd_grid_bounds(rng):
+    gen, ref = bounded_clouds(rng, 2), bounded_clouds(rng, 2)
+    # flat cell indices of a 2^20 grid fit int64; past it they could not
+    assert 0.0 <= metrics.jsd(gen, ref, 2**20) <= np.log(2.0) + 1e-12
+    with pytest.raises(InvalidArgument, match="grid_resolution"):
+        metrics.jsd(gen, ref, 2**20 + 1)
+
+
 def test_jsd_bounded_by_ln2(rng):
     gen = bounded_clouds(rng, 2)
     ref = bounded_clouds(rng, 2)

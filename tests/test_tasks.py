@@ -279,10 +279,10 @@ def test_no_grad_decode_output_has_no_parents(sphere_cloud, rng):
     cfg = model.cfg
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    x_t = rng.normal(size=(mask.masked_indices.size * cfg.patch_points, 3))
-    assert model.decode(model.encode(sphere_cloud, mask), x_t, 1)._parents
+    x_t = rng.normal(size=(1, mask.masked_indices.size * cfg.patch_points, 3))
+    assert model.decode(model.encode(sphere_cloud, mask), x_t, [1])._parents
     with eg.no_grad():
-        pred = model.decode(model.encode(sphere_cloud, mask), x_t, 1)
+        pred = model.decode(model.encode(sphere_cloud, mask), x_t, [1])
     assert pred._parents == ()
 
 

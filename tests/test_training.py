@@ -14,6 +14,7 @@ from pointdiff.errors import (
     CorruptCheckpoint,
     InvalidArgument,
     PointdiffError,
+    ShapeError,
     UnsupportedVersion,
 )
 from pointdiff import model as model_module
@@ -38,20 +39,20 @@ def test_chamfer_loss_value_matches_metric(rng):
 
     pred = rng.normal(size=(20, 3))
     target = rng.normal(size=(25, 3))
-    loss = training.chamfer_loss(Tensor(pred), target)
+    loss = training.chamfer_loss(Tensor(pred[None]), [target])
     assert loss.item() == pytest.approx(metrics.chamfer_l2(pred, target), rel=1e-12)
 
 
 def test_chamfer_loss_gradient(rng):
-    target = rng.normal(size=(12, 3))
-    point = rng.normal(size=(10, 3))
-    err = eg.grad_check(lambda t: training.chamfer_loss(t, target), Tensor(point))
+    targets = [rng.normal(size=(12, 3)), rng.normal(size=(7, 3))]
+    point = rng.normal(size=(2, 10, 3))
+    err = eg.grad_check(lambda t: training.chamfer_loss(t, targets), Tensor(point))
     assert err < 1e-5
 
 
 def test_chamfer_loss_zero_at_match(rng):
     pts = rng.normal(size=(8, 3))
-    loss = training.chamfer_loss(Tensor(pts.copy()), pts)
+    loss = training.chamfer_loss(Tensor(pts[None].copy()), [pts])
     assert loss.item() == 0.0
 
 
@@ -338,10 +339,94 @@ def test_curve_to_csv(tmp_path):
     assert float(lines[1].split(",")[1]) == 0.5
 
 
-def test_batch_mean_order_and_batch_of_one():
-    l0, l1, l2 = (Tensor(np.array(v)) for v in (0.1, 0.2, 0.3))
-    assert training._batch_mean([l0, l1, l2]).item() == (0.1 + (0.2 + 0.3)) * (1.0 / 3)
-    assert training._batch_mean([l0]).item() == 0.1
+def test_chamfer_loss_batch_is_item_mean(rng):
+    targets = [rng.normal(size=(m, 3)) for m in (25, 9, 25, 40)]  # sizes may differ
+    pred = rng.normal(size=(4, 20, 3))
+    batch = training.chamfer_loss(Tensor(pred), targets).item()
+    items = [training.chamfer_loss(Tensor(pred[b : b + 1]), targets[b : b + 1]).item()
+             for b in range(4)]
+    assert batch == pytest.approx(np.mean(items), rel=1e-14, abs=0.0)
+    with pytest.raises(ShapeError):
+        training.chamfer_loss(Tensor(pred), targets[:3])
+
+
+def _step_losses(monkeypatch, train):
+    """The loss of every optimizer step ``train()`` takes."""
+    losses = []
+    backward = eg.backward
+
+    def recording(loss, params=None):
+        losses.append(loss.item())
+        return backward(loss, params)
+
+    monkeypatch.setattr(eg, "backward", recording)
+    train()
+    monkeypatch.setattr(eg, "backward", backward)
+    return losses
+
+
+_VARIANTS = {
+    "encoder": (dict(), None),
+    "entire-object": (dict(), LossSetting.ENTIRE_OBJECT),
+    "masked-only": (dict(), LossSetting.MASKED_ONLY),
+    "config2-entire-object": (dict(predict_visible=True), LossSetting.ENTIRE_OBJECT),
+    "config2-upsample-masked-only": (dict(predict_visible=True, upsample_factor=2),
+                                     LossSetting.MASKED_ONLY),
+    "upsample-entire-object": (dict(upsample_factor=2), LossSetting.ENTIRE_OBJECT),
+}
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_batched_steps_equal_item_means(monkeypatch, variant):
+    # five clouds of two sizes at batch 2: two full batches and a short last
+    # one.  With lr=0 every step sees the same weights, so a batch's loss is
+    # the mean of its items' losses at batch 1: the mask and timestep keys
+    # depend on the item, not on the batch it lands in.
+    overrides, setting = _VARIANTS[variant]
+    cfg = toy_config(**overrides)
+    data = tiny_dataset(3, 128) + tiny_dataset(2, 160)
+    encoder = Model.create(cfg, seed=0)
+    schedule = diffusion.build_schedule(cfg.timesteps)
+
+    def losses(batch_size):
+        tc = TrainConfig(epochs=1, batch_size=batch_size, lr=0.0, seed=4,
+                         loss_setting=setting or LossSetting.ENTIRE_OBJECT)
+        if setting is None:
+            train = lambda: training.pretrain_encoder(data, cfg, tc)  # noqa: E731
+        else:
+            train = lambda: training.train_decoder(data, encoder, tc, schedule)  # noqa: E731
+        return _step_losses(monkeypatch, train)
+
+    items = losses(1)
+    batches = losses(2)
+    assert len(items) == 5 and len(batches) == 3
+    for batch, group in zip(batches, (items[0:2], items[2:4], items[4:5])):
+        assert batch == pytest.approx(np.mean(group), rel=1e-14, abs=0.0)
+
+
+def _tape_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_decoder_step_tape_is_independent_of_batch_size(monkeypatch):
+    # one batched graph per step: a per-item loop would grow the tape with B
     cfg = toy_config()
-    _, curve = training.pretrain_encoder(tiny_dataset(), cfg, TrainConfig(epochs=2, batch_size=1))
-    assert len(curve) == 2 and all(np.isfinite(curve))
+    encoder = Model.create(cfg, seed=0)
+    schedule = diffusion.build_schedule(cfg.timesteps)
+    sizes = {}
+    backward = eg.backward
+    for batch in (1, 8):
+        def counting(loss, params=None, batch=batch):
+            sizes.setdefault(batch, set()).add(_tape_size(loss))
+            return backward(loss, params)
+
+        monkeypatch.setattr(eg, "backward", counting)
+        training.train_decoder(tiny_dataset(batch), encoder,
+                               TrainConfig(epochs=1, batch_size=batch), schedule)
+    assert len(sizes[1]) == 1 and sizes[1] == sizes[8]

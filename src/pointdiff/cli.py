@@ -43,7 +43,10 @@ def _known_keys():
 def load_run_config(path):
     """Parse the sectioned key=value config file; reject unknown keys."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key, no section header, ...
+        raise UsageError("malformed config file: " + " ".join(str(exc).split())) from None
     if not read:
         raise UsageError(f"config file not found: {path}")
     known = _known_keys()
@@ -58,13 +61,21 @@ def load_run_config(path):
     return out
 
 
-def _coerce(value, target_type):
-    if target_type is bool:
-        return value.lower() in ("1", "true", "yes", "on") if isinstance(value, str) else bool(value)
-    return target_type(value)
+def _coerce(value, target_type, key):
+    """The config string ``value`` of ``key`` as ``target_type``; a value
+    that does not parse is a usage error.  Bools take 1/0, true/false,
+    yes/no and on/off, in any case."""
+    try:
+        if target_type is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        return target_type(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"{key} = {value!r} is not a valid {target_type.__name__}") from None
 
 
 def _build_dataclass(cls, raw, overrides):
+    """``cls`` from config strings and flag overrides; a value ``cls``
+    rejects is a usage error."""
     merged = dict(raw)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
@@ -73,22 +84,25 @@ def _build_dataclass(cls, raw, overrides):
             value = merged[f.name]
             base = f.type if isinstance(f.type, type) else type(f.default)
             if isinstance(value, str) and base in (int, float, bool):
-                value = _coerce(value, base)
+                value = _coerce(value, base, f.name)
             kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except InvalidArgument as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _schedule_from(raw, T):
     """The [schedule] noise schedule for a model trained with T steps; a
     ``timesteps`` key, when given, must repeat T."""
-    if int(raw.get("timesteps", T)) != T:
+    if "timesteps" in raw and _coerce(raw["timesteps"], int, "timesteps") != T:
         raise InvalidArgument(
             f"[schedule] timesteps = {raw['timesteps']} differs from the encoder's T = {T}"
         )
     return diffusion.build_schedule(
         T,
-        float(raw.get("beta_start", 1e-4)),
-        float(raw.get("beta_end", 0.05)),
+        _coerce(raw.get("beta_start", "1e-4"), float, "beta_start"),
+        _coerce(raw.get("beta_end", "0.05"), float, "beta_end"),
     )
 
 
@@ -116,7 +130,7 @@ def _load_dataset(run_raw):
     manifest_path = run_raw.get("manifest")
     if not manifest_path:
         raise UsageError("config [run] must name a dataset manifest")
-    target = int(run_raw.get("target_points", 2048))
+    target = _coerce(run_raw.get("target_points", "2048"), int, "target_points")
     manifest = data_io.read_manifest(manifest_path, target)
     return manifest.load(split="train")
 

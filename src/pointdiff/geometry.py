@@ -41,6 +41,17 @@ class MaskStrategy(Enum):
     RANDOM = "random"
     BLOCK = "block"
 
+    @classmethod
+    def parse(cls, value):
+        """``value`` as a member: a member itself or its value in any case."""
+        try:
+            return cls(value.lower() if isinstance(value, str) else value)
+        except ValueError:
+            raise InvalidArgument(
+                f"unknown mask strategy {value!r}; expected one of "
+                + ", ".join(m.value for m in cls)
+            ) from None
+
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -98,8 +109,9 @@ def sq_dists(a, b, out=None):
     ``out``, when given, is a pair of (n, m) arrays of the result dtype: the
     matrix is written into the first and returned, the second holds each
     axis' term, and nothing is allocated.
-    This is the only place the library forms point-to-point squared
-    distances, apart from the metrics' einsum path.
+    This is the only place the library forms exact point-to-point squared
+    distances, apart from the metrics' einsum path; ``nearest_indices``
+    filters with a BLAS approximation and rechecks near-ties here.
     """
     d, dk = (None, None) if out is None else out
     d = np.subtract.outer(a[:, 0], b[:, 0], out=d)
@@ -132,22 +144,75 @@ def nearest_indices(a, b):
     """Nearest-neighbour indices both ways: a -> b (n,) and b -> a (m,).
 
     Equal to ``sq_dists(a, b).argmin(axis=1)`` and ``.argmin(axis=0)`` for
-    finite inputs, ties going to the lowest index, but the matrix is only
-    ever held in blocks of rows of about ``_NN_BLOCK_ELEMS`` elements, all
-    in one buffer.  A column's running nearest row moves only when a later
-    block is strictly closer, so the earliest of equally near rows is kept.
+    finite floating-point inputs, ties going to the lowest index.  The
+    b -> a search is the same row search on ``sq_dists(b, a)``, which is
+    bitwise the transpose because ``b - a`` is exactly ``-(a - b)``.
     """
-    a_to_b = np.empty(len(a), dtype=np.intp)
-    b_to_a = np.zeros(len(b), dtype=np.intp)
-    best = np.full(len(b), np.inf, dtype=np.result_type(a, b))
-    for lo, d, _ in _dist_blocks(a, b):
-        a_to_b[lo : lo + len(d)] = d.argmin(axis=1)
-        col_min = d.min(axis=0)
-        closer = col_min < best
-        if closer.any():
-            best[closer] = col_min[closer]
-            b_to_a[closer] = lo + d[:, closer].argmin(axis=0)
-    return a_to_b, b_to_a
+    return _nearest_rows(a, b), _nearest_rows(b, a)
+
+
+def _nearest_rows(a, b):
+    """``sq_dists(a, b).argmin(axis=1)``, ties to the lowest index.
+
+    Rows go in blocks of about ``_NN_BLOCK_ELEMS`` elements.  One BLAS
+    product per block gives approximate squared distances from shifted,
+    augmented coordinates, ``[x, |x|^2, 1] @ [-2y, 1, |y|^2]^T`` with
+    ``x = a - c`` and ``y = b - c`` for ``c`` the centre of b's bounding
+    box.  A row whose second-smallest approximate value exceeds its
+    smallest by more than ``2 * delta`` has the same unique minimum in
+    ``sq_dists``; every other row is recomputed exactly.
+
+    ``delta`` bounds |approx - sq_dists| for a row at x.  With u = eps / 2
+    of the input dtype and S = |x|^2 + max |y|^2, to first order in u:
+      - ``sq_dists`` is within 5u * |a - b|^2 <= 10u * S of the true
+        distance (one rounding on each difference, doubled by the square,
+        one on each square and two on the sums);
+      - the shift rounds x and y by at most u * |x| and u * |y|, which
+        moves the true distance by at most 2u * (|x| + |y|)^2 <= 4u * S;
+      - the norms are sums of three squares, each within 3u: 3u * S;
+      - the 5-term product in any order, fused or not, is within 5u times
+        the sum of its terms' magnitudes, at most 2S: 10u * S.
+    That is 27u * S = 13.5 eps * S.  ``delta = 16 eps * S + 64 tiny``, with
+    tiny the smallest subnormal: the 16 leaves room for the second order
+    terms and for the rounding of delta, S and the gap themselves, and at
+    most twelve products may underflow, each off by at most tiny / 2.  Rows
+    with S past an eighth of the dtype's largest value may overflow the
+    product and are always recomputed.
+    """
+    dt = np.result_type(a, b)
+    a, b = np.asarray(a, dtype=dt), np.asarray(b, dtype=dt)
+    n, m = len(a), len(b)
+    finfo = np.finfo(dt)
+    c = (b.min(axis=0) + b.max(axis=0)) / 2
+    x, y = a - c, b - c
+    xs = np.empty((n, 5), dtype=dt)  # [x, |x|^2, 1]
+    xs[:, :3] = x
+    xs[:, 3] = np.einsum("ij,ij->i", x, x)
+    xs[:, 4] = 1
+    ys = np.empty((5, m), dtype=dt)  # [-2y, 1, |y|^2]^T
+    ys[:3] = -2 * y.T
+    ys[3] = 1
+    ys[4] = np.einsum("ij,ij->i", y, y)
+    s = xs[:, 3] + ys[4].max()
+    delta = np.where(s <= finfo.max / 8, 16 * finfo.eps * s + 64 * finfo.smallest_subnormal, np.inf)
+
+    nearest = np.empty(n, dtype=np.intp)
+    rows = max(1, _NN_BLOCK_ELEMS // m)
+    # the approximate block, then the exact rows of its near-ties, in buf[0]
+    buf = np.empty((2, min(rows, n), m), dtype=dt)
+    for lo in range(0, n, rows):
+        d = np.matmul(xs[lo : lo + rows], ys, out=buf[0, : min(rows, n - lo)])
+        r = np.arange(len(d))
+        j0 = d.argmin(axis=1)
+        d0 = d[r, j0]
+        d[r, j0] = np.inf
+        nearest[lo : lo + len(d)] = j0
+        settled = d.min(axis=1) - d0 > 2 * delta[lo : lo + len(d)]
+        recheck = lo + np.flatnonzero(~settled)
+        if recheck.size:
+            exact = sq_dists(a[recheck], b, out=tuple(buf[:, : recheck.size]))
+            nearest[recheck] = exact.argmin(axis=1)
+    return nearest
 
 
 def fps(cloud: PointCloud, k: int, seed_index: int = 0):
@@ -219,8 +284,7 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
     spatially contiguous run: a nearest-unvisited-center chain starting from
     a random center (``centers`` required for BLOCK).
     """
-    if isinstance(strategy, str):
-        strategy = MaskStrategy(strategy.lower())
+    strategy = MaskStrategy.parse(strategy)
     if not 0.0 < ratio < 1.0:
         raise InvalidArgument(f"mask ratio must be in (0,1), got {ratio}")
     m = mask_count(ratio, num_groups)

@@ -22,7 +22,7 @@ from . import engine as eg
 from .engine import Tensor
 from .diffusion import NoiseSchedule, q_sample
 from .errors import CorruptCheckpoint, InvalidArgument, ShapeError, UnsupportedVersion
-from .geometry import PointCloud, nearest_indices, segment
+from .geometry import MaskStrategy, PointCloud, nearest_indices, segment
 from .model import (
     LatentSet,
     Model,
@@ -52,12 +52,18 @@ class TrainConfig:
     loss_setting: LossSetting = LossSetting.ENTIRE_OBJECT
     seed: int = 0
     checkpoint_every: int = 0  # 0 = only at the end
-    mask_strategy: str = "random"
+    mask_strategy: MaskStrategy = MaskStrategy.RANDOM
     remask_every: int = 1  # epochs between fresh mask draws; 0 = fixed mask
 
     def __post_init__(self):
-        if isinstance(self.loss_setting, str):
+        try:
             self.loss_setting = LossSetting(self.loss_setting)
+        except ValueError:
+            raise InvalidArgument(
+                f"unknown loss setting {self.loss_setting!r}; expected one of "
+                + ", ".join(m.value for m in LossSetting)
+            ) from None
+        self.mask_strategy = MaskStrategy.parse(self.mask_strategy)
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidArgument("epochs and batch_size must be positive")
         if self.checkpoint_every < 0:

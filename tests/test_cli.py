@@ -87,7 +87,7 @@ def test_missing_file_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_bad_config_key_exits_2(tmp_path, workspace):
+def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
     ws, config = workspace
     bad = ws / "bad.ini"
     bad.write_text("[model]\nflux_capacitance = 9\n")
@@ -99,6 +99,50 @@ def test_bad_config_key_exits_2(tmp_path, workspace):
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
     bad.write_text("[warp]\nspeed = 9\n")
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    # files configparser itself rejects: a repeated key, no section header
+    bad.write_text("[train]\nepochs = 2\nepochs = 3\n")
+    assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    bad.write_text("epochs = 2\n")
+    assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == err.count("\n") == 6 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("train-encoder", "model", "latent_width = abc"),
+    ("train-encoder", "model", "mask_ratio = half"),
+    ("train-encoder", "model", "predict_visible = ture"),
+    ("train-encoder", "model", "latent_width = 0"),
+    ("train-encoder", "train", "mask_strategy = bogus"),
+    ("train-encoder", "train", "loss_setting = bogus"),
+    ("train-encoder", "run", "target_points = many"),
+    ("train-decoder", "train", "mask_strategy = bogus"),
+    ("train-decoder", "schedule", "beta_start = tiny"),
+    ("train-decoder", "run", "target_points = many"),
+])
+def test_malformed_config_value_exits_2(workspace, capsys, command, section, line):
+    ws, config = workspace
+    key = line.split(" = ")[0]
+    text = "".join(row for row in config.read_text().splitlines(True)
+                   if not row.startswith(f"{key} = "))
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    argv = [command, "--config", str(config), "--out", str(ws / "o")]
+    if command == "train-decoder":
+        cfg = toy_config(timesteps=3)
+        training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
+        argv += ["--ckpt-encoder", str(ws / "enc.ckpt")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (ws / "o" / "resolved_config.ini").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("false", False), ("No", False), ("off", False),
+])
+def test_config_bools(text, value):
+    assert cli._coerce(text, bool, "predict_visible") is value
 
 
 _PLY = ("ply\nformat ascii 1.0\nelement vertex 1\n"

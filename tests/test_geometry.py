@@ -155,6 +155,12 @@ def _block_oracle(centers, m, seed):
     return chain
 
 
+@pytest.mark.parametrize("strategy", ["bogus", None, 3])
+def test_apply_mask_rejects_unknown_strategy(strategy):
+    with pytest.raises(InvalidArgument, match="unknown mask strategy"):
+        geo.apply_mask(8, 0.5, strategy, 0, centers=np.zeros((8, 3)))
+
+
 def test_apply_mask_block_requires_centers():
     with pytest.raises(InvalidArgument):
         geo.apply_mask(16, 0.5, "block", rng_seed=0)
@@ -263,3 +269,60 @@ def test_nearest_indices_one_row_blocks_above_the_budget(rng):
     b = np.round(rng.normal(size=(m, 3)), 1)
     a = np.concatenate([b[[5, 5, m - 1]], np.round(rng.normal(size=(4, 3)), 1)])
     _assert_nearest_matches_dense(a, b)
+
+
+# the Chamfer search's BLAS filter: every case compares both directions with
+# the dense argmin, so a filter bound that is too small shows as a mismatch
+
+
+@settings(max_examples=100, deadline=None)
+@given(_clouds(_coords), _clouds(_coords), st.sampled_from([np.float64, np.float32]))
+def test_nearest_indices_equals_dense_argmin(a, b, dtype):
+    _assert_nearest_matches_dense(a.astype(dtype), b.astype(dtype))
+
+
+def _near_ties(rng, dtype):
+    """Queries on a 10x10x10 unit grid and, around each, two points whose
+    distances to it agree to within a few ulps: an offset, its negation, and
+    a random nudge of the second by one to three ulps per coordinate."""
+    a = np.stack(np.unravel_index(np.arange(1000), (10, 10, 10)), axis=1).astype(dtype)
+    off = (0.1 * rng.normal(size=a.shape)).astype(dtype)
+    twin = a - off
+    for _ in range(3):
+        nudge = rng.choice(np.array([-np.inf, np.inf], dtype=dtype), size=a.shape)
+        twin = np.where(rng.random(a.shape) < 0.5, np.nextafter(twin, nudge), twin)
+    b = np.empty((2 * len(a), 3), dtype=dtype)
+    b[0::2], b[1::2] = a + off, twin
+    return a, b
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_nearest_indices_near_ties(rng, dtype):
+    a, b = _near_ties(rng, dtype)
+    d2 = _dense_d2(a, b)
+    pair = d2.reshape(len(a), len(a), 2)[np.arange(len(a)), np.arange(len(a))]
+    assert np.mean(pair[:, 0] == pair[:, 1]) < 0.9  # not just exact ties
+    _assert_nearest_matches_dense(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_nearest_indices_offset_clouds(rng, dtype):
+    # far from the origin and tightly spread: unshifted norms would cancel
+    a = (1e3 + 1e-3 * rng.normal(size=(300, 3))).astype(dtype)
+    b = (1e3 + 1e-3 * rng.normal(size=(257, 3))).astype(dtype)
+    _assert_nearest_matches_dense(a, b)
+
+
+def test_nearest_indices_rechecks_only_ambiguous_rows(rng):
+    # row 1 and row 4 have two equally near points; with 3 rows per block
+    # they fall in different blocks, and only they are recomputed exactly
+    b = rng.normal(size=(20, 3))
+    b[7] = b[3]
+    a = rng.normal(size=(6, 3))
+    a[1], a[4] = b[3] + 1e-9, b[3] - 1e-9
+    with mock.patch.object(geo, "_NN_BLOCK_ELEMS", 3 * len(b)), \
+            mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
+        a_to_b = geo._nearest_rows(a, b)
+    assert [len(call.args[0]) for call in exact.call_args_list] == [1, 1]
+    assert np.array_equal(a_to_b, _dense_d2(a, b).argmin(axis=1))
+    assert a_to_b[1] == a_to_b[4] == 3

@@ -18,6 +18,7 @@ from pointdiff.errors import (
     UnsupportedVersion,
 )
 from pointdiff import model as model_module
+from pointdiff.geometry import MaskStrategy
 from pointdiff.model import Model
 from pointdiff.training import LossSetting, TrainConfig
 
@@ -63,6 +64,12 @@ def test_train_config_validation():
         TrainConfig(checkpoint_every=-1)
     cfg = TrainConfig(loss_setting="masked_only")
     assert cfg.loss_setting is LossSetting.MASKED_ONLY
+    # unknown names fail here, not later inside training as a bare ValueError
+    with pytest.raises(InvalidArgument, match="mask strategy 'bogus'"):
+        TrainConfig(mask_strategy="bogus")
+    with pytest.raises(InvalidArgument, match="loss setting 'bogus'"):
+        TrainConfig(loss_setting="bogus")
+    assert TrainConfig(mask_strategy="BLOCK").mask_strategy is MaskStrategy.BLOCK
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -300,6 +307,41 @@ def test_train_decoder_runs_and_checkpoints(setting, every, ends):
         if name.startswith("enc."):
             assert np.array_equal(model.params[name].data, p.data)
             assert not model.params[name].requires_grad
+
+
+def _dense_nearest(calls):
+    def nearest(a, b):
+        calls.append(len(a))
+        d2 = np.sum((a[:, None] - b[None]) ** 2, axis=2)
+        return d2.argmin(axis=1), d2.argmin(axis=0)
+    return nearest
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+def test_training_search_equals_dense_argmin_end_to_end(monkeypatch, bits):
+    # the Chamfer loss's filtered search must leave both training phases
+    # bitwise where a plain dense argmin search leaves them
+    def train():
+        with eg.precision(bits):
+            cfg = toy_config(timesteps=5)
+            data = tiny_dataset(3, 96)
+            enc, enc_curve = training.pretrain_encoder(
+                data, cfg, TrainConfig(epochs=3, batch_size=2))
+            model, curve, _ = training.train_decoder(
+                data, enc, TrainConfig(epochs=3, batch_size=2, seed=1),
+                diffusion.build_schedule(cfg.timesteps))
+        return enc_curve, curve, model.params
+
+    enc_curve, curve, params = train()
+    calls = []
+    monkeypatch.setattr(training, "nearest_indices", _dense_nearest(calls))
+    dense_enc_curve, dense_curve, dense_params = train()
+    assert len(calls) == 2 * 3 * 3  # items x epochs, encoder and decoder
+    assert enc_curve == dense_enc_curve and curve == dense_curve
+    assert params.keys() == dense_params.keys()
+    for name, p in params.items():
+        assert p.data.dtype == np.dtype(f"float{bits}")
+        assert np.array_equal(p.data, dense_params[name].data), name
 
 
 def test_train_decoder_schedule_mismatch():

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Every run resolves a plain key=value config (sections [model], [train],
-[schedule], [run]; unknown keys rejected), applies flag overrides, and
-writes the resolved config and tool version next to its artifacts.
+[schedule], [run]; unknown keys rejected, and so is a [model] section given
+to train-decoder, which takes its model from the encoder checkpoint),
+applies flag overrides, and writes the resolved config and tool version next
+to its artifacts.
 
 Exit codes: 0 success, 1 runtime error (including a missing or unreadable
 file), 2 usage error.
@@ -171,6 +173,9 @@ def cmd_train_encoder(args):
 
 def cmd_train_decoder(args):
     cfgfile = load_run_config(args.config)
+    if cfgfile["model"]:
+        raise UsageError("train-decoder takes its model config from the encoder checkpoint; "
+                         "remove the [model] section")
     encoder = _load_model(args.ckpt_encoder)
     train_cfg = _build_dataclass(
         TrainConfig,

@@ -3,6 +3,7 @@ seeded synthetic shape generation for desk-scale experiments."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,7 @@ def save_cloud(cloud: PointCloud, path):
             fh.write(f"element vertex {pts.shape[0]}\n")
             fh.write("property float x\nproperty float y\nproperty float z\n")
             fh.write("end_header\n")
-        for x, y, z in pts:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        fh.write("%.9g %.9g %.9g\n" * len(pts) % tuple(pts.ravel().tolist()))
 
 
 def _guess_format(path):
@@ -93,6 +93,9 @@ def _load_ply(path):
         raise ParseError(f"vertex count {n_vertex} outside [0, {n_rows}], the lines after "
                          "end_header", line=vertex_line)
 
+    pts = _parse_rows(lines[body_start : body_start + n_vertex], cols, comments=None)
+    if pts is not None and pts.shape == (n_vertex, 3):
+        return PointCloud(pts)
     pts = np.empty((n_vertex, 3), dtype=np.float64)
     for row in range(n_vertex):
         lineno = body_start + 1 + row
@@ -107,22 +110,43 @@ def _load_ply(path):
 
 
 def _load_xyz(path):
-    rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            tok = stripped.split()
-            if len(tok) < 3:
-                raise ParseError("expected three coordinates", line=lineno)
-            try:
-                rows.append([float(tok[0]), float(tok[1]), float(tok[2])])
-            except ValueError:
-                raise ParseError("malformed coordinate", line=lineno)
+        lines = fh.readlines()
+    pts = _parse_rows(lines, (0, 1, 2), comments="#")
+    if pts is not None and len(pts):
+        return PointCloud(pts)
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        tok = stripped.split()
+        if len(tok) < 3:
+            raise ParseError("expected three coordinates", line=lineno)
+        try:
+            rows.append([float(tok[0]), float(tok[1]), float(tok[2])])
+        except ValueError:
+            raise ParseError("malformed coordinate", line=lineno)
     if not rows:
         raise ParseError("file holds no points", line=1)
     return PointCloud(np.asarray(rows, dtype=np.float64))
+
+
+def _parse_rows(lines, cols, comments):
+    """The float64 columns ``cols`` of ``lines`` in one ``np.loadtxt`` call,
+    or None when it raises.
+
+    Where it succeeds it gives ``float``'s values, but it skips blank lines
+    and rejects some tokens ``float`` takes (``1_0``, non-ASCII digits).  So
+    a reader that gets None or an unexpected row count re-parses with its
+    row loop, which gives the exact values or ``ParseError``.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(lines, dtype=np.float64, comments=comments, usecols=cols, ndmin=2)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

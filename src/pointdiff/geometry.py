@@ -11,12 +11,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
 
-# distance-matrix elements per block in nearest_indices and knn_group
-# (~0.5 MiB at 64-bit)
+# distance-matrix elements per block in nearest_indices (~0.5 MiB at 64-bit)
 _NN_BLOCK_ELEMS = 1 << 16
+
+# candidates per row beyond k that knn_group takes from its KD-tree.  One is
+# enough where no two distances tie; a few more settle rows whose k-th point
+# has a handful of exact duplicates without the dense recomputation.
+_KNN_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,10 @@ def sq_dists(a, b, out=None):
     ``out``, when given, is a pair of (n, m) arrays of the result dtype: the
     matrix is written into the first and returned, the second holds each
     axis' term, and nothing is allocated.
-    This is the only place the library forms exact point-to-point squared
-    distances, apart from the metrics' einsum path; ``nearest_indices``
-    filters with a BLAS approximation and rechecks near-ties here.
+    This is the library's exact point-to-point squared distance, apart from
+    the metrics' einsum path: ``knn_group`` recomputes its KD-tree
+    candidates in the same arithmetic, and ``nearest_indices`` filters with
+    a BLAS approximation and rechecks near-ties here.
     """
     d, dk = (None, None) if out is None else out
     d = np.subtract.outer(a[:, 0], b[:, 0], out=d)
@@ -121,23 +127,6 @@ def sq_dists(a, b, out=None):
         dk *= dk
         d += dk
     return d
-
-
-def _dist_blocks(a, b):
-    """Yield ``(lo, d, scratch)`` over blocks of rows of ``a``.
-
-    ``d`` is ``sq_dists(a[lo:lo + r], b)`` for blocks of about
-    ``_NN_BLOCK_ELEMS`` elements, and ``scratch`` is a free array of its
-    shape.  Every block is written into the same buffer, so a caller must be
-    done with one block before it asks for the next.
-    """
-    n, m = len(a), len(b)
-    rows = max(1, _NN_BLOCK_ELEMS // m)
-    buf = np.empty((2, min(rows, n), m), dtype=np.result_type(a, b))
-    for lo in range(0, n, rows):
-        block = a[lo : lo + rows]
-        d, scratch = buf[:, : len(block)]
-        yield lo, sq_dists(block, b, out=(d, scratch)), scratch
 
 
 def nearest_indices(a, b):
@@ -219,7 +208,9 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     """Greedy farthest point sampling; returns k point indices.
 
     The first index is ``seed_index``; every next pick maximizes the minimum
-    distance to all picks so far, ties broken by lowest index.
+    distance to all picks so far, ties broken by lowest index.  Each pick's
+    distances come from a column-major copy of the cloud, so ``sq_dists``
+    reads every coordinate column contiguously, into one reused buffer.
     """
     n = len(cloud)
     if not 1 <= k <= n:
@@ -227,14 +218,15 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     if not 0 <= seed_index < n:
         raise InvalidArgument(f"fps: seed_index={seed_index} out of range")
 
-    pts = cloud.points
+    pts = np.asfortranarray(cloud.points)
+    buf = tuple(np.empty((2, n, 1)))
     selected = np.empty(k, dtype=np.int64)
     selected[0] = seed_index
     min_d2 = sq_dists(pts, pts[seed_index : seed_index + 1])[:, 0]
     for i in range(1, k):
         nxt = int(np.argmax(min_d2))  # argmax takes the first (lowest) index on ties
         selected[i] = nxt
-        np.minimum(min_d2, sq_dists(pts, pts[nxt : nxt + 1])[:, 0], out=min_d2)
+        np.minimum(min_d2, sq_dists(pts, pts[nxt : nxt + 1], out=buf)[:, 0], out=min_d2)
     return selected
 
 
@@ -243,11 +235,34 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
 
     Ordered by ascending distance, ties broken by lowest point index: equal
     to ``np.argsort(sq_dists(centers, points), kind="stable")[:, :k]``.
-    Each row's k-th smallest distance is found by partition; every point at
-    or below it is a candidate, taken in ascending index order so that all
-    points tied with the k-th come along, and a stable sort of the
-    candidates by distance keeps the first k.  Rows are done in blocks of
-    about ``_NN_BLOCK_ELEMS`` distances.
+
+    One KD-tree over the cloud gives each center its q = min(k +
+    ``_KNN_MARGIN``, N) nearest candidates.  Their squared distances are
+    recomputed in ``sq_dists``' arithmetic and the candidates sorted by
+    (distance, index).  A row is kept when no point left out can come
+    first: the squared distance f of the tree's last candidate and the
+    exact k-th distance d_k satisfy ``f - d_k > (N + 16) * (eps * f + tiny)``.
+    Every other row (exact ties around the k-th distance: duplicates, grids)
+    is recomputed as the stable argsort of its whole ``sq_dists`` row, and
+    so is every row when q = N.
+
+    The bound.  With u = eps / 2 and tiny the smallest subnormal, each
+    rounding is off by at most u times its result plus tiny / 2.  cKDTree
+    (p = 2, eps = 0) leaves a point out only when its own squared distance,
+    or the distance bound of a tree cell holding it, is at least the final
+    k-th squared distance f' (a point is taken only when strictly nearer
+    than the current q-th, and a cell dropped only when its bound exceeds
+    it; the current q-th never grows).  A cell's bound is a sum of squared
+    side distances, updated once per tree level by one subtraction and one
+    addition of terms no larger than the bound itself, and the tree has
+    fewer than N levels: a left-out point's true squared distance is at
+    least f' * (1 - (2N + 6)u).  The tree returns sqrt(f'), and squaring it
+    again gives f within 3u; ``sq_dists`` is within 5u of the truth.  So a
+    left-out point's exact distance is at least f * (1 - (2N + 14)u) less
+    (N + 8) tiny, and the test above proves it exceeds d_k, with room for
+    the second-order terms and the rounding of the test itself.  Distances
+    that overflow make f - d_k infinite or NaN, and such rows are
+    recomputed.
     """
     n, k = len(cloud), group_size
     if not 1 <= k <= n:
@@ -255,14 +270,23 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if not np.all(np.isfinite(centers)):
         raise InvalidArgument("knn_group: centers contain non-finite coordinates")
+    pts = np.asfortranarray(cloud.points)
+    q = min(k + _KNN_MARGIN, n)
     groups = np.empty((len(centers), k), dtype=np.intp)
-    for lo, d, kth in _dist_blocks(centers, cloud.points):
-        np.copyto(kth, d)
-        kth.partition(k - 1, axis=1)
-        rows, cols = np.nonzero(d <= kth[:, k - 1 : k])  # row-major: ascending index
-        order = np.lexsort((d[rows, cols], rows))  # stable: ties keep index order
-        starts = np.searchsorted(rows, np.arange(len(d)))
-        groups[lo : lo + len(d)] = cols[order[starts[:, None] + np.arange(k)]]
+    settled = np.zeros(len(centers), dtype=bool)
+    if q < n:  # at q = N every point is a candidate and the dense rows are cheaper
+        far, cand = cKDTree(cloud.points).query(centers, q)
+        far, cand = far.reshape(-1, q)[:, -1], cand.reshape(-1, q)
+        dx, dy, dz = np.moveaxis(centers[:, None] - cloud.points[cand], -1, 0)
+        d = (dx * dx + dy * dy) + dz * dz
+        order = np.lexsort((cand, d))
+        groups[:] = np.take_along_axis(cand, order[:, :k], axis=1)
+        d_k = np.take_along_axis(d, order[:, k - 1 : k], axis=1)[:, 0]
+        f = far * far
+        finfo = np.finfo(np.float64)
+        settled = f - d_k > (n + 16) * (finfo.eps * f + finfo.smallest_subnormal)
+    for i in np.flatnonzero(~settled):
+        groups[i] = np.argsort(sq_dists(centers[i : i + 1], pts)[0], kind="stable")[:k]
     return groups
 
 

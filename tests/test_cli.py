@@ -1,3 +1,5 @@
+import configparser
+
 import pytest
 
 from conftest import toy_config
@@ -37,6 +39,18 @@ def workspace(tmp_path):
         f"[run]\nmanifest = {manifest}\ntarget_points = 64\n"
     )
     return tmp_path, config
+
+
+def _decoder_config(config):
+    """``config`` without its [model] section, which train-decoder rejects:
+    the decoder's model config comes from the encoder checkpoint."""
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    parser.remove_section("model")
+    out = config.with_name("decoder.ini")
+    with open(out, "w") as fh:
+        parser.write(fh)
+    return out
 
 
 def test_synth_writes_cloud(tmp_path):
@@ -128,6 +142,7 @@ def test_malformed_config_value_exits_2(workspace, capsys, command, section, lin
     config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     argv = [command, "--config", str(config), "--out", str(ws / "o")]
     if command == "train-decoder":
+        argv[2] = str(_decoder_config(config))
         cfg = toy_config(timesteps=3)
         training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
         argv += ["--ckpt-encoder", str(ws / "enc.ckpt")]
@@ -209,7 +224,7 @@ def test_full_pipeline(workspace, capsys):
     assert (enc_dir / "resolved_config.ini").exists()
 
     dec_dir = ws / "dec"
-    assert run(["train-decoder", "--config", str(config),
+    assert run(["train-decoder", "--config", str(_decoder_config(config)),
                 "--ckpt-encoder", str(enc_dir / "encoder.ckpt"),
                 "--out", str(dec_dir)]) == 0
     ckpt = dec_dir / "decoder.ckpt"
@@ -263,11 +278,27 @@ def test_train_decoder_schedule_must_repeat_the_encoder_T(workspace, capsys):
     config.write_text(config.read_text().replace("[schedule]\ntimesteps = 3",
                                                  "[schedule]\ntimesteps = 4"))
     dec_dir = ws / "dec"
-    assert run(["train-decoder", "--config", str(config),
+    assert run(["train-decoder", "--config", str(_decoder_config(config)),
                 "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "timesteps = 4" in err and "T = 3" in err
     assert not (dec_dir / "resolved_config.ini").exists()
+
+
+def test_train_decoder_rejects_a_model_section(workspace, capsys):
+    # the decoder's model config is the encoder checkpoint's; a [model]
+    # section would be read and then ignored
+    ws, config = workspace
+    cfg = toy_config(timesteps=3)
+    training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
+    dec_dir = ws / "dec"
+    assert run(["train-decoder", "--config", str(config),
+                "--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(dec_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "[model]" in err
+    assert not (dec_dir / "resolved_config.ini").exists()
+    assert run(["train-decoder", "--config", str(_decoder_config(config)),
+                "--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(dec_dir)]) == 0
 
 
 def test_non_finite_sampling_exits_1(tmp_path, capsys):
@@ -299,7 +330,7 @@ def test_reconstruct_determinism_via_cli(workspace):
     enc_dir = ws / "enc"
     run(["train-encoder", "--config", str(config), "--out", str(enc_dir)])
     dec_dir = ws / "dec"
-    run(["train-decoder", "--config", str(config),
+    run(["train-decoder", "--config", str(_decoder_config(config)),
          "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)])
     cloud = ws / "c.ply"
     run(["synth", "--kind", "cube", "--n", "96", "--out", str(cloud)])

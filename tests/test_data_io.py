@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pointdiff import data_io
 from pointdiff.errors import InvalidArgument, ParseError
@@ -209,3 +211,163 @@ def test_manifest_file_entries(tmp_path, rng):
     assert len(loaded[0][1]) == 50
     # file entries are normalized before resampling
     assert np.abs(loaded[0][1].points).max() <= 0.5 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one-call body parse and writer, against the row loops they replaced,
+# kept here as oracles
+
+
+def _old_ply(path):
+    """The PLY body as the per-row loop read it (header fields parsed
+    just enough for the files below)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    body_start = lines.index("end_header") + 1
+    n_vertex = int(lines[2].split()[2])
+    props = [line.split()[-1] for line in lines[3 : body_start - 1]]
+    cols = [props.index(c) for c in ("x", "y", "z")]
+    pts = np.empty((n_vertex, 3), dtype=np.float64)
+    for row in range(n_vertex):
+        lineno = body_start + 1 + row
+        if lineno > len(lines) or not lines[lineno - 1].split():
+            raise ParseError(f"expected {n_vertex} vertices, file ends at row {row}", line=lineno)
+        tok = lines[lineno - 1].split()
+        try:
+            pts[row] = [float(tok[c]) for c in cols]
+        except (IndexError, ValueError):
+            raise ParseError("malformed vertex row", line=lineno)
+    return PointCloud(pts)
+
+
+def _old_xyz(path):
+    rows = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            tok = stripped.split()
+            if len(tok) < 3:
+                raise ParseError("expected three coordinates", line=lineno)
+            try:
+                rows.append([float(tok[0]), float(tok[1]), float(tok[2])])
+            except ValueError:
+                raise ParseError("malformed coordinate", line=lineno)
+    if not rows:
+        raise ParseError("file holds no points", line=1)
+    return PointCloud(np.asarray(rows, dtype=np.float64))
+
+
+def _old_save(cloud, path):
+    pts = cloud.points
+    with open(path, "w") as fh:
+        if str(path).endswith(".ply"):
+            fh.write("ply\nformat ascii 1.0\n")
+            fh.write(f"element vertex {pts.shape[0]}\n")
+            fh.write("property float x\nproperty float y\nproperty float z\n")
+            fh.write("end_header\n")
+        for x, y, z in pts:
+            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+
+
+def _outcome(load, path):
+    """The points' bytes, or the error's type, message and line."""
+    try:
+        return "ok", load(path).points.tobytes()
+    except (ParseError, InvalidArgument) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _ply_text(body, n_vertex=None, props=("x", "y", "z"), tail=(), newline="\n"):
+    n_vertex = len(body) if n_vertex is None else n_vertex
+    header = ["ply", "format ascii 1.0", f"element vertex {n_vertex}"]
+    header += [f"property float {p}" for p in props]
+    if tail:
+        header += ["element face 1", "property list uchar int vertex_indices"]
+    lines = header + ["end_header", *body, *tail]
+    return newline.join(lines) + newline
+
+
+def _assert_readers_match_row_loops(path, text):
+    path.write_bytes(text.encode())
+    old = _old_ply if path.suffix == ".ply" else _old_xyz
+    assert _outcome(data_io.load_cloud, path) == _outcome(old, path)
+
+
+_PLY_BODIES = {
+    "plain": dict(body=["0 0 0", "1 2 3", "-1.5e-3 4e5 .25"]),
+    "blank-row": dict(body=["1 2 3", "", "4 5 6"]),
+    "whitespace-row": dict(body=["1 2 3", " \t ", "4 5 6"]),
+    "too-few-tokens": dict(body=["1 2 3", "4 5"]),
+    "ragged-extra-columns": dict(body=["1 2 3 4", "5 6 7", "8 9 10 11 12"]),
+    "underscore": dict(body=["1_0 2 3", "4 5 6"]),
+    "non-ascii-digit": dict(body=["١ 2 3"]),
+    "nbsp-separator": dict(body=["1\xa02 3", "4 5 6"]),
+    "comment-char": dict(body=["1 2 3 # note"]),
+    "hash-token": dict(body=["1 # 3"]),
+    "bad-token": dict(body=["1 two 3"]),
+    "crlf": dict(body=["1 2 3", "4 5 6"], newline="\r\n"),
+    "permuted": dict(body=["1 2 3", "4 5 6"], props=("z", "x", "y")),
+    "permuted-extra": dict(body=["9 1 2 3", "9 4 5 6"], props=("red", "y", "z", "x")),
+    "face-lines": dict(body=["0 0 0", "1 0 0", "0 1 0"], tail=["3 0 1 2"]),
+    "count-below-rows": dict(body=["0 0 0", "1 0 0", "junk"], n_vertex=2),
+    "zero-vertices": dict(body=["1 2 3"], n_vertex=0),
+    "non-finite": dict(body=["1 nan 3"]),
+    "overflow": dict(body=["1e500 0 0"]),
+    "signed-special": dict(body=["+1 -0 +.5e-2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PLY_BODIES))
+def test_ply_reader_matches_row_loop(tmp_path, case):
+    _assert_readers_match_row_loops(tmp_path / "c.ply", _ply_text(**_PLY_BODIES[case]))
+
+
+_XYZ_TEXTS = {
+    "plain": "0 0 0\n1 2 3\n-1.5e-3 4e5 .25\n",
+    "comments-and-blanks": "# header\n\n1 2 3\n  \t\n4 5 6  # trailing\n#\n",
+    "too-few-tokens": "1 2 3\n4 5\n",
+    "ragged-extra-columns": "1 2 3 4\n5 6 7\n8 9 10 11 12\n",
+    "underscore": "1_0 2 3\n4 5 6\n",
+    "non-ascii-digit": "١ 2 3\n",
+    "nbsp-line": "\xa0\n1 2 3\n",
+    "form-feed-separator": "1\x0c2 3\n",
+    "bad-token": "1 2 3\n4 five 6\n",
+    "crlf": "1 2 3\r\n\r\n4 5 6\r\n",
+    "no-final-newline": "1 2 3\n4 5 6",
+    "only-comments": "# nothing\n\n",
+    "empty": "",
+    "non-finite": "1 2 inf\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_XYZ_TEXTS))
+def test_xyz_reader_matches_row_loop(tmp_path, case):
+    _assert_readers_match_row_loops(tmp_path / "c.xyz", _XYZ_TEXTS[case])
+
+
+_tokens = st.sampled_from(["1", "-2.5", "3e2", ".5", "+1.", "1_0", "nan", "-inf", "1e500",
+                           "0x1", "#", "x", "١", "1,2", "--1", "1e"])
+_seps = st.sampled_from([" ", "\t", "  ", "\xa0", "\x0c", " # "])
+_rows = st.lists(st.lists(st.tuples(_tokens, _seps), max_size=5).map(
+    lambda pairs: "".join(t + s for t, s in pairs)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_rows, st.integers(0, 6), st.booleans())
+def test_readers_match_row_loops_on_fuzzed_bodies(tmp_path, rows, n_vertex, crlf):
+    newline = "\r\n" if crlf else "\n"
+    _assert_readers_match_row_loops(
+        tmp_path / "c.ply", _ply_text(rows, n_vertex=min(n_vertex, len(rows)), newline=newline))
+    _assert_readers_match_row_loops(tmp_path / "c.xyz", newline.join(rows) + newline)
+
+
+@pytest.mark.parametrize("suffix", [".ply", ".xyz"])
+def test_save_cloud_bytes_equal_row_writer(tmp_path, rng, suffix):
+    special = np.array([[-0.0, 5e-324, 1e20], [0.1, -1.5e300, 123456789.123]])
+    for pts in (special, rng.normal(size=(500, 3)), rng.normal(size=(1, 3)) * 1e-8):
+        data_io.save_cloud(PointCloud(pts), tmp_path / f"new{suffix}")
+        _old_save(PointCloud(pts), tmp_path / f"old{suffix}")
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()

@@ -41,6 +41,17 @@ def test_fps_matches_greedy_oracle(rng):
     assert idx.tolist() == chosen
 
 
+def test_fps_matches_greedy_oracle_on_a_large_cloud():
+    # the incremental greedy max-min over contiguous rows, at codec size
+    pts = data_io.synth_shape("cube", 32768, seed=4).points
+    chosen = [0]
+    min_d2 = np.sum((pts - pts[0]) ** 2, axis=1)
+    for _ in range(255):
+        chosen.append(int(np.argmax(min_d2)))
+        np.minimum(min_d2, np.sum((pts - pts[chosen[-1]]) ** 2, axis=1), out=min_d2)
+    assert geo.fps(PointCloud(pts), 256).tolist() == chosen
+
+
 def test_fps_tie_breaks_to_lowest_index():
     # two candidates equidistant from the seed; index 1 must win over 2
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [0.1, 0, 0]])
@@ -56,8 +67,10 @@ def test_knn_group_sorted_and_stable():
 
 
 def _knn_oracle(pts, centers, k):
-    # stable argsort of whole rows of the dense definition
-    return np.argsort(_dense_d2(centers, pts), axis=1, kind="stable")[:, :k]
+    # stable argsort of whole rows of the dense definition, 16 centers at a time
+    return np.concatenate([np.argsort(_dense_d2(centers[lo : lo + 16], pts), axis=1,
+                                      kind="stable")[:, :k]
+                           for lo in range(0, len(centers), 16)])
 
 
 def _assert_knn_matches_oracle(pts, center_idx, k):
@@ -67,18 +80,34 @@ def _assert_knn_matches_oracle(pts, center_idx, k):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("block_elems", [1, 100, None])
+def _dense_rows(cloud, centers, k):
+    """The center rows knn_group recomputes densely (its only ``sq_dists``
+    calls), and its result."""
+    with mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
+        groups = geo.knn_group(cloud, centers, k)
+    rows = [call.args[0] for call in exact.call_args_list]
+    assert all(len(r) == 1 for r in rows)
+    return (np.concatenate(rows) if rows else np.empty((0, 3))), groups
+
+
+@pytest.mark.parametrize("margin", [1, 100, None, 0])
 @pytest.mark.parametrize("k", [1, 7, 100, 512])
-def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, block_elems):
+def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin):
     # a 1/8 grid: every center has many points at each of a few distances,
-    # so the k-th distance is almost always tied; k = 512 is the whole cloud
+    # so the k-th distance is almost always tied; k = 512 is the whole cloud.
+    # The candidate margin moves rows between the KD-tree and the dense
+    # recomputation; at margin 0 the tree's last candidate is the k-th
+    # itself, so every row is recomputed densely
     pts = np.floor(rng.uniform(0.0, 1.0, size=(512, 3)) * 8) / 8
     center_idx = rng.choice(512, size=20, replace=False)
-    if block_elems is None:
+    if margin is None:
         _assert_knn_matches_oracle(pts, center_idx, k)
-    else:
-        with mock.patch.object(geo, "_NN_BLOCK_ELEMS", block_elems):
-            _assert_knn_matches_oracle(pts, center_idx, k)
+        return
+    with mock.patch.object(geo, "_KNN_MARGIN", margin):
+        _assert_knn_matches_oracle(pts, center_idx, k)
+        if margin == 0:
+            dense, _ = _dense_rows(PointCloud(pts), pts[center_idx], k)
+            assert np.array_equal(dense, pts[center_idx])
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 8, 20, 280])
@@ -91,6 +120,38 @@ def test_knn_group_partition_matches_stable_argsort_with_duplicates(rng, k):
 def test_knn_group_partition_matches_stable_argsort_on_torus():
     cloud = data_io.synth_shape("torus", 4096, seed=2)
     _assert_knn_matches_oracle(cloud.points, geo.fps(cloud, 64), 32)
+
+
+@pytest.mark.parametrize("n", [8192, 32768])
+def test_knn_group_matches_stable_argsort_on_large_synth_clouds(n):
+    # the codec's G256 x 128 segmentation of large clouds
+    cloud = data_io.synth_shape("two-spheres", n, seed=5)
+    _assert_knn_matches_oracle(cloud.points, geo.fps(cloud, 256), 128)
+
+
+@pytest.mark.parametrize("k", [1, 16, 300])
+def test_knn_group_matches_stable_argsort_far_from_origin(rng, k):
+    # coordinates near 1e3, spread 1e-3: differences carry few digits
+    pts = 1e3 + 1e-3 * rng.normal(size=(300, 3))
+    _assert_knn_matches_oracle(pts, rng.choice(300, size=40, replace=False), k)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_knn_group_dense_rows_are_only_those_the_bound_rejects(rng, k):
+    # one point repeated more than k + margin times: a center on it has all
+    # its k + margin tree candidates at distance 0, so the tree cannot tell
+    # which copies come first and the row must be recomputed; every center
+    # among the distinct points is settled by the tree
+    copies = k + geo._KNN_MARGIN + 5
+    pts = np.concatenate([rng.normal(size=(500, 3)), np.repeat([[0.1, 0.2, 0.3]], copies, axis=0)])
+    pts = pts[rng.permutation(len(pts))]
+    tied = np.flatnonzero(np.all(pts == [0.1, 0.2, 0.3], axis=1))
+    center_idx = np.concatenate([rng.choice(np.setdiff1d(np.arange(len(pts)), tied), 30,
+                                            replace=False), tied[[0, -1]]])
+    dense, groups = _dense_rows(PointCloud(pts), pts[center_idx], k)
+    assert np.array_equal(dense, pts[tied[[0, -1]]])
+    assert np.array_equal(groups, _knn_oracle(pts, pts[center_idx], k))
+    assert np.array_equal(groups[-2:], tied[None, :k].repeat(2, axis=0))
 
 
 def test_knn_group_rejects_bad_sizes_and_centers():

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Every run resolves a plain key=value config (sections [model], [train],
-[schedule], [run]; unknown keys rejected, and so is a [model] section given
-to train-decoder, which takes its model from the encoder checkpoint),
-applies flag overrides, and writes the resolved config and tool version next
-to its artifacts.
+``train-encoder``, ``train-decoder`` and ``compress`` read a plain
+key=value config.  ``CONFIG_KEYS`` names the sections, and the keys within
+them, that each one reads; any other section or key is a usage error.  T is
+stated once, as ``[model] timesteps``: train-decoder takes its whole model
+config from the encoder checkpoint.  A training run applies flag overrides
+and writes the values it read, with the tool version, next to its artifacts.
 
 Exit codes: 0 success, 1 runtime error (including a missing or unreadable
 file), 2 usage error.
@@ -25,25 +26,30 @@ from .errors import InvalidArgument, PointdiffError
 from .model import Model, ModelConfig
 from .training import TrainConfig
 
-_SCHEDULE_KEYS = {"timesteps", "beta_start", "beta_end"}
-_RUN_KEYS = {"manifest", "target_points", "out_dir"}
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+_TRAIN_KEYS = ("epochs", "batch_size", "lr", "seed", "mask_strategy", "remask_every")
+_RUN_KEYS = ("manifest", "target_points", "out_dir")
+
+# The config sections each subcommand reads, and the keys it reads in each.
+# ``TrainConfig.checkpoint_every`` is for library callers: no row reads it.
+CONFIG_KEYS = {
+    "train-encoder": {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "run": _RUN_KEYS},
+    "train-decoder": {
+        "train": _TRAIN_KEYS + ("loss_setting",),
+        "schedule": ("beta_start", "beta_end"),
+        "run": _RUN_KEYS,
+    },
+    "compress": {"model": _MODEL_KEYS},
+}
 
 
 class UsageError(PointdiffError):
     pass
 
 
-def _known_keys():
-    return {
-        "model": {f.name for f in dataclasses.fields(ModelConfig)},
-        "train": {f.name for f in dataclasses.fields(TrainConfig)},
-        "schedule": _SCHEDULE_KEYS,
-        "run": _RUN_KEYS,
-    }
-
-
-def load_run_config(path):
-    """Parse the sectioned key=value config file; reject unknown keys."""
+def load_run_config(path, command):
+    """Parse the sectioned key=value config file of ``command``; a section
+    or key that ``CONFIG_KEYS[command]`` does not name is a usage error."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -51,14 +57,15 @@ def load_run_config(path):
         raise UsageError("malformed config file: " + " ".join(str(exc).split())) from None
     if not read:
         raise UsageError(f"config file not found: {path}")
-    known = _known_keys()
+    known = CONFIG_KEYS[command]
     out = {section: {} for section in known}
     for section in parser.sections():
         if section not in known:
-            raise UsageError(f"unknown config section [{section}]")
+            raise UsageError(f"{command} reads no config section [{section}]; it reads "
+                             + ", ".join(f"[{name}]" for name in known))
         for key, value in parser[section].items():
             if key not in known[section]:
-                raise UsageError(f"unknown key {key!r} in section [{section}]")
+                raise UsageError(f"{command} reads no key {key!r} in section [{section}]")
             out[section][key] = value
     return out
 
@@ -94,30 +101,13 @@ def _build_dataclass(cls, raw, overrides):
         raise UsageError(str(exc)) from exc
 
 
-def _schedule_from(raw, T):
-    """The [schedule] noise schedule for a model trained with T steps; a
-    ``timesteps`` key, when given, must repeat T."""
-    if "timesteps" in raw and _coerce(raw["timesteps"], int, "timesteps") != T:
-        raise InvalidArgument(
-            f"[schedule] timesteps = {raw['timesteps']} differs from the encoder's T = {T}"
-        )
-    return diffusion.build_schedule(
-        T,
-        _coerce(raw.get("beta_start", "1e-4"), float, "beta_start"),
-        _coerce(raw.get("beta_end", "0.05"), float, "beta_end"),
-    )
-
-
-def write_run_metadata(out_dir, model_cfg=None, train_cfg=None, schedule_raw=None, run_raw=None):
+def write_run_metadata(out_dir, sections=()):
+    """Write ``resolved_config.ini``: the tool version, the active precision
+    and each non-empty ``(section, {key: value})`` of ``sections``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"# pointdiff {__version__}", f"# precision {eg.get_precision()}"]
-    for section, payload in (
-        ("model", model_cfg.to_dict() if model_cfg else None),
-        ("train", dataclasses.asdict(train_cfg) if train_cfg else None),
-        ("schedule", schedule_raw),
-        ("run", run_raw),
-    ):
+    for section, payload in sections:
         if not payload:
             continue
         lines.append(f"[{section}]")
@@ -126,6 +116,11 @@ def write_run_metadata(out_dir, model_cfg=None, train_cfg=None, schedule_raw=Non
                 value = value.value
             lines.append(f"{key} = {value}")
     (out_dir / "resolved_config.ini").write_text("\n".join(lines) + "\n")
+
+
+def _train_values(train_cfg, command):
+    """The [train] values of ``train_cfg`` that ``command`` reads."""
+    return {key: getattr(train_cfg, key) for key in CONFIG_KEYS[command]["train"]}
 
 
 def _load_dataset(run_raw):
@@ -154,16 +149,16 @@ def cmd_synth(args):
 
 
 def cmd_train_encoder(args):
-    cfgfile = load_run_config(args.config)
+    cfgfile = load_run_config(args.config, "train-encoder")
     model_cfg = _build_dataclass(ModelConfig, cfgfile["model"], {"mask_ratio": args.mask_ratio})
     train_cfg = _build_dataclass(
-        TrainConfig,
-        cfgfile["train"],
-        {"seed": args.seed, "mask_strategy": args.mask_strategy, "loss_setting": args.loss_setting},
+        TrainConfig, cfgfile["train"], {"seed": args.seed, "mask_strategy": args.mask_strategy}
     )
     dataset = _load_dataset(cfgfile["run"])
     out_dir = Path(args.out or cfgfile["run"].get("out_dir", "."))
-    write_run_metadata(out_dir, model_cfg, train_cfg, cfgfile["schedule"], cfgfile["run"])
+    write_run_metadata(out_dir, [("model", model_cfg.to_dict()),
+                                 ("train", _train_values(train_cfg, "train-encoder")),
+                                 ("run", cfgfile["run"])])
 
     model, curve = training.pretrain_encoder(dataset, model_cfg, train_cfg)
     training.save_checkpoint(out_dir / "encoder.ckpt", model_cfg, model.params)
@@ -172,20 +167,21 @@ def cmd_train_encoder(args):
 
 
 def cmd_train_decoder(args):
-    cfgfile = load_run_config(args.config)
-    if cfgfile["model"]:
-        raise UsageError("train-decoder takes its model config from the encoder checkpoint; "
-                         "remove the [model] section")
+    cfgfile = load_run_config(args.config, "train-decoder")
     encoder = _load_model(args.ckpt_encoder)
     train_cfg = _build_dataclass(
         TrainConfig,
         cfgfile["train"],
         {"seed": args.seed, "mask_strategy": args.mask_strategy, "loss_setting": args.loss_setting},
     )
-    schedule = _schedule_from(cfgfile["schedule"], encoder.cfg.timesteps)
+    betas = {key: _coerce(value, float, key) for key, value in cfgfile["schedule"].items()}
+    schedule = diffusion.build_schedule(encoder.cfg.timesteps, **betas)
     dataset = _load_dataset(cfgfile["run"])
     out_dir = Path(args.out or cfgfile["run"].get("out_dir", "."))
-    write_run_metadata(out_dir, encoder.cfg, train_cfg, cfgfile["schedule"], cfgfile["run"])
+    write_run_metadata(out_dir, [("model", encoder.cfg.to_dict()),
+                                 ("train", _train_values(train_cfg, "train-decoder")),
+                                 ("schedule", cfgfile["schedule"]),
+                                 ("run", cfgfile["run"])])
 
     model, curve, _ = training.train_decoder(dataset, encoder, train_cfg, schedule)
     training.save_checkpoint(out_dir / "decoder.ckpt", model.cfg, model.params)
@@ -224,7 +220,7 @@ def cmd_upsample(args):
 
 
 def cmd_compress(args):
-    cfg_raw = load_run_config(args.config)["model"] if args.config else {}
+    cfg_raw = load_run_config(args.config, "compress")["model"] if args.config else {}
     model_cfg = _build_dataclass(ModelConfig, cfg_raw, {"mask_ratio": args.mask_ratio})
     cloud, _ = data_io.normalize(data_io.load_cloud(args.input))
     blob = tasks.compress(
@@ -320,7 +316,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-encoder", help="pretrain the encoder")
-    common(p, "--config", "--mask-ratio", "--mask-strategy", "--loss-setting")
+    common(p, "--config", "--mask-ratio", "--mask-strategy")
     p.set_defaults(func=cmd_train_encoder, _needs_config=True)
 
     p = sub.add_parser("train-decoder", help="train the diffusion decoder")

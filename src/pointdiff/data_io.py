@@ -50,9 +50,21 @@ def _guess_format(path):
     raise InvalidArgument(f"cannot infer format from {path!r}; use .ply, .xyz or .txt")
 
 
+def _read_text(path):
+    """The UTF-8 text of ``path`` with text-mode newline translation; bytes
+    that do not decode are a ParseError naming their line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8 text",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_ply(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", line=1)
     n_vertex = None
@@ -110,8 +122,7 @@ def _load_ply(path):
 
 
 def _load_xyz(path):
-    with open(path) as fh:
-        lines = fh.readlines()
+    lines = _read_text(path).split("\n")
     pts = _parse_rows(lines, (0, 1, 2), comments="#")
     if pts is not None and len(pts):
         return PointCloud(pts)
@@ -328,22 +339,20 @@ def read_manifest(path, target_points) -> DatasetManifest:
     """One entry per line: ``id<TAB>spec<TAB>split``."""
     entries = []
     seen = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected id<TAB>spec<TAB>split", line=lineno)
-            entry_id, spec, split = parts
-            if spec.startswith("synth:"):
-                try:
-                    _synth_args(spec)
-                except ValueError as exc:
-                    raise ParseError(f"bad synth spec: {exc}", line=lineno)
-            if entry_id in seen:
-                raise ParseError(f"duplicate id {entry_id!r}", line=lineno)
-            seen.add(entry_id)
-            entries.append(ManifestEntry(entry_id, spec, split))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError("expected id<TAB>spec<TAB>split", line=lineno)
+        entry_id, spec, split = parts
+        if spec.startswith("synth:"):
+            try:
+                _synth_args(spec)
+            except ValueError as exc:
+                raise ParseError(f"bad synth spec: {exc}", line=lineno)
+        if entry_id in seen:
+            raise ParseError(f"duplicate id {entry_id!r}", line=lineno)
+        seen.add(entry_id)
+        entries.append(ManifestEntry(entry_id, spec, split))
     return DatasetManifest(entries=tuple(entries), target_points=target_points)

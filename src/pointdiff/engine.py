@@ -79,22 +79,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; everything routes through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -38,8 +38,7 @@ _DIGEST_BYTES = 16
 # sampling glue
 
 
-def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
-                   residual=diffusion.RESIDUAL_SQRT_SIGMA, on_step=None):
+def sample_patches(model: Model, latent: LatentSet, schedule, seed=0, on_step=None):
     """Run the reverse chain for the one cloud of ``latent``, recording no
     autograd graph, and return center-relative predictions at
     ``patch_points`` density for the patches ``model.predicted_indices``
@@ -56,11 +55,11 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0,
     step = None if on_step is None else (lambda t, x: on_step(t, x.reshape(shape)))
     with eg.no_grad():
         x0 = diffusion.sample(decoder_fn, shape[0] * shape[1], schedule, rng_seed=seed,
-                              residual=residual, on_step=step)
+                              on_step=step)
     return x0.reshape(shape)
 
 
-def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residual,
+def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed,
               on_step=None) -> PointCloud:
     """Encode the visible patches of ``ps``, sample the predicted ones and
     reassemble the cloud in patch-index order; each prediction replaces its
@@ -78,23 +77,22 @@ def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed, residu
     with eg.no_grad():
         tokens = encode_patches(model.params, ps.patches[vis][None], ps.centers[vis][None], cfg)
         latent = LatentSet(tokens=tokens, centers=ps.centers[None], masks=(mask,))
-        pred = sample_patches(model, latent, schedule, seed=seed, residual=residual,
-                              on_step=step)
+        pred = sample_patches(model, latent, schedule, seed=seed, on_step=step)
     return cloud_of(pred)
 
 
 def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0, mask_strategy="random",
-                residual=diffusion.RESIDUAL_SQRT_SIGMA, on_step=None) -> PointCloud:
+                on_step=None) -> PointCloud:
     """Mask, encode, sample the masked patches and reassemble the object;
     ``on_step(t, cloud)`` sees the whole cloud after each reverse step."""
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    return _generate(model, ps, mask, schedule, seed, residual, on_step)
+    return _generate(model, ps, mask, schedule, seed, on_step)
 
 
 def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
-             masked_centers=None, residual=diffusion.RESIDUAL_SQRT_SIGMA) -> PointCloud:
+             masked_centers=None) -> PointCloud:
     """Fill in the missing fraction ``cfg.mask_ratio`` of a partial cloud.
 
     The partial input must contain exactly the visible patches' points.
@@ -133,11 +131,11 @@ def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
     )
     mask = MaskSpec(indicator=np.arange(cfg.num_groups) >= n_visible, ratio=cfg.mask_ratio,
                     strategy=MaskStrategy.RANDOM)
-    return _generate(model, ps, mask, schedule, seed, residual)
+    return _generate(model, ps, mask, schedule, seed)
 
 
 def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
-             visible_fraction=0.4, residual=diffusion.RESIDUAL_SQRT_SIGMA) -> PointCloud:
+             visible_fraction=0.4) -> PointCloud:
     """Densify a cloud by ``upsample_factor``: encode a visible subset and
     sample every patch at the higher density (requires a Config 2 model)."""
     cfg = model.cfg
@@ -145,7 +143,7 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
         raise InvalidArgument("upsampling requires a Config 2 model (predict_visible)")
     ps = segment(low_res_cloud, cfg.num_groups, cfg.group_size)
     mask = apply_mask(cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers)
-    return _generate(model, ps, mask, schedule, seed, residual)
+    return _generate(model, ps, mask, schedule, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +255,7 @@ def parse_blob(raw: bytes) -> CompressedBlob:
     )
 
 
-def decompress(raw: bytes, model: Model, schedule, seed=0,
-               residual=diffusion.RESIDUAL_SQRT_SIGMA) -> PointCloud:
+def decompress(raw: bytes, model: Model, schedule, seed=0) -> PointCloud:
     """Re-encode the transmitted visible patches and sample the masked ones."""
     blob = parse_blob(raw)
     cfg = model.cfg
@@ -280,7 +277,7 @@ def decompress(raw: bytes, model: Model, schedule, seed=0,
     patches[vis] = (blob.visible_points.reshape(vis.size, cfg.group_size, 3)
                     - blob.centers[vis][:, None, :])
     ps = PatchSet(centers=blob.centers, patches=patches, group_size=cfg.group_size)
-    return _generate(model, ps, mask, schedule, seed, residual)
+    return _generate(model, ps, mask, schedule, seed)
 
 
 def bpp(raw: bytes, original_point_count: int) -> float:

@@ -1,4 +1,4 @@
-import configparser
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +11,24 @@ def run(argv):
     return cli.main(argv)
 
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
 @pytest.fixture
 def workspace(tmp_path):
+    """A two-cloud manifest, the encoder's run.ini and the decoder's
+    decoder.ini, which has no [model]: the decoder's is the encoder
+    checkpoint's."""
     manifest = tmp_path / "data.tsv"
     manifest.write_text(
         "s1\tsynth:sphere:96:0.0:1\ttrain\n"
         "s2\tsynth:cube:96:0.0:2\ttrain\n"
     )
+    train = "[train]\nepochs = 2\nbatch_size = 2\nlr = 0.001\n"
+    run_section = f"[run]\nmanifest = {manifest}\ntarget_points = 64\n"
+    dec_config = tmp_path / "decoder.ini"
+    dec_config.write_text(train + "[schedule]\nbeta_start = 0.0001\nbeta_end = 0.05\n"
+                          + run_section)
     config = tmp_path / "run.ini"
     config.write_text(
         "[model]\n"
@@ -30,27 +41,9 @@ def workspace(tmp_path):
         "group_size = 8\n"
         "mask_ratio = 0.75\n"
         "timesteps = 3\n"
-        "[train]\n"
-        "epochs = 2\n"
-        "batch_size = 2\n"
-        "lr = 0.001\n"
-        "[schedule]\n"
-        "timesteps = 3\n"
-        f"[run]\nmanifest = {manifest}\ntarget_points = 64\n"
+        + train + run_section
     )
-    return tmp_path, config
-
-
-def _decoder_config(config):
-    """``config`` without its [model] section, which train-decoder rejects:
-    the decoder's model config comes from the encoder checkpoint."""
-    parser = configparser.ConfigParser()
-    parser.read(config)
-    parser.remove_section("model")
-    out = config.with_name("decoder.ini")
-    with open(out, "w") as fh:
-        parser.write(fh)
-    return out
+    return tmp_path, config, dec_config
 
 
 def test_synth_writes_cloud(tmp_path):
@@ -102,15 +95,16 @@ def test_missing_file_exits_1(tmp_path, capsys, argv):
 
 
 def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
-    ws, config = workspace
+    ws, config, dec_config = workspace
     bad = ws / "bad.ini"
     bad.write_text("[model]\nflux_capacitance = 9\n")
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
     # a key no code reads is not accepted either
     bad.write_text(config.read_text().replace("[train]\n", "[train]\nlog_every = 10\n"))
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
-    bad.write_text(config.read_text().replace("[schedule]\n", "[schedule]\nresidual = sigma\n"))
-    assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
+    bad.write_text(dec_config.read_text().replace("[schedule]\n", "[schedule]\nresidual = sigma\n"))
+    assert run(["train-decoder", "--config", str(bad), "--ckpt-encoder", str(ws / "none.ckpt"),
+                "--out", str(ws / "o")]) == 2
     bad.write_text("[warp]\nspeed = 9\n")
     assert run(["train-encoder", "--config", str(bad), "--out", str(ws / "o")]) == 2
     # files configparser itself rejects: a repeated key, no section header
@@ -131,18 +125,20 @@ def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
     ("train-encoder", "train", "loss_setting = bogus"),
     ("train-encoder", "run", "target_points = many"),
     ("train-decoder", "train", "mask_strategy = bogus"),
+    ("train-decoder", "train", "loss_setting = bogus"),
     ("train-decoder", "schedule", "beta_start = tiny"),
     ("train-decoder", "run", "target_points = many"),
 ])
 def test_malformed_config_value_exits_2(workspace, capsys, command, section, line):
-    ws, config = workspace
+    ws, config, dec_config = workspace
+    if command == "train-decoder":
+        config = dec_config
     key = line.split(" = ")[0]
     text = "".join(row for row in config.read_text().splitlines(True)
                    if not row.startswith(f"{key} = "))
     config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     argv = [command, "--config", str(config), "--out", str(ws / "o")]
     if command == "train-decoder":
-        argv[2] = str(_decoder_config(config))
         cfg = toy_config(timesteps=3)
         training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
         argv += ["--ckpt-encoder", str(ws / "enc.ckpt")]
@@ -184,7 +180,8 @@ def _bad_grid(tmp, grid):
 
 
 def _residual_key(tmp):
-    """A compress run that is valid but for the no longer accepted key."""
+    """A compress run that is valid but for its [schedule] section, which
+    compress does not read (and ``residual``, which no command reads)."""
     (tmp / "run.ini").write_text("[model]\nnum_groups = 4\ngroup_size = 8\n"
                                  "[schedule]\nresidual = sigma\n")
     data_io.save_cloud(data_io.synth_shape("sphere", 64, seed=1), tmp / "c.ply")
@@ -215,20 +212,95 @@ def test_malformed_input_exits_without_traceback(tmp_path, capsys, make_argv, co
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_non_utf8_cloud_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.xyz"
+    bad.write_bytes(b"0 0 0\n\xff1 2 3\n")
+    assert run(["compress", "--in", str(bad), "--out", str(tmp_path / "c.dpc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.dpc").exists()
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("compress", "train", "epochs = 999"),
+    ("compress", "schedule", "beta_start = 0.9"),
+    ("compress", "run", "manifest = /nonexistent"),
+    ("train-encoder", "schedule", "beta_start = 0.0001"),
+    ("train-encoder", "train", "loss_setting = masked_only"),
+    ("train-encoder", "train", "checkpoint_every = 7"),
+    ("train-decoder", "train", "checkpoint_every = 7"),
+    ("train-decoder", "schedule", "timesteps = 3"),
+])
+def test_config_the_command_does_not_read_exits_2(workspace, capsys, command, section, line):
+    # a section or key the command would accept and then ignore
+    ws, config, dec_config = workspace
+    out = ws / "o"
+    if command == "compress":
+        config = ws / "model.ini"
+        config.write_text("[model]\nnum_groups = 8\ngroup_size = 8\n")
+        data_io.save_cloud(data_io.synth_shape("sphere", 96, seed=1), ws / "c.ply")
+        argv = ["--in", str(ws / "c.ply"), "--out", str(out / "c.dpc")]
+        out.mkdir()
+    elif command == "train-decoder":
+        config = dec_config
+        cfg = toy_config(timesteps=3)
+        training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
+        argv = ["--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(out)]
+    else:
+        argv = ["--out", str(out)]
+    text = config.read_text()
+    header = f"[{section}]\n"
+    config.write_text(text.replace(header, header + line + "\n") if header in text
+                      else text + header + line + "\n")
+    assert run([command, "--config", str(config), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(line.split(" = ")[0]) in err or header.strip() in err
+    assert not (out / "resolved_config.ini").exists() and not (out / "c.dpc").exists()
+
+
+def test_train_encoder_reads_no_loss_setting_flag(workspace, capsys):
+    # the loss setting selects the decoder's Chamfer target; the encoder never reads it
+    ws, config, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        run(["train-encoder", "--config", str(config), "--loss-setting", "masked_only",
+             "--out", str(ws / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--loss-setting" in err
+    assert not (ws / "o").exists()
+
+
+@pytest.mark.parametrize("ini, command, other", [
+    ("run.ini", "train-encoder", "train-decoder"),
+    ("decoder.ini", "train-decoder", "train-encoder"),
+])
+def test_demo_config_loads_under_its_command_only(tmp_path, capsys, ini, command, other):
+    cli.load_run_config(DEMOS / ini, command)
+    argv = [other, "--config", str(DEMOS / ini), "--out", str(tmp_path / "o")]
+    if other == "train-decoder":
+        argv += ["--ckpt-encoder", str(tmp_path / "enc.ckpt")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_full_pipeline(workspace, capsys):
-    ws, config = workspace
+    ws, config, dec_config = workspace
     enc_dir = ws / "enc"
     assert run(["train-encoder", "--config", str(config), "--out", str(enc_dir)]) == 0
     assert (enc_dir / "encoder.ckpt").exists()
     assert (enc_dir / "encoder_loss.csv").exists()
-    assert (enc_dir / "resolved_config.ini").exists()
+    # it records the values the run read, so it loads under the same row
+    cli.load_run_config(enc_dir / "resolved_config.ini", "train-encoder")
 
     dec_dir = ws / "dec"
-    assert run(["train-decoder", "--config", str(_decoder_config(config)),
+    assert run(["train-decoder", "--config", str(dec_config),
                 "--ckpt-encoder", str(enc_dir / "encoder.ckpt"),
                 "--out", str(dec_dir)]) == 0
     ckpt = dec_dir / "decoder.ckpt"
-    assert ckpt.exists()
+    assert training.load_model(ckpt).cfg.timesteps == 3  # the encoder's T
 
     cloud = ws / "shape.ply"
     run(["synth", "--kind", "torus", "--n", "96", "--out", str(cloud)])
@@ -239,7 +311,9 @@ def test_full_pipeline(workspace, capsys):
     assert len(data_io.load_cloud(recon)) == 8 * 8
 
     blob = ws / "shape.dpc"
-    assert run(["compress", "--in", str(cloud), "--config", str(config),
+    model_config = ws / "model.ini"  # compress reads [model] only
+    model_config.write_text(config.read_text().split("[train]")[0])
+    assert run(["compress", "--in", str(cloud), "--config", str(model_config),
                 "--out", str(blob)]) == 0
     assert blob.exists()
     out = capsys.readouterr().out
@@ -271,33 +345,37 @@ def test_full_pipeline(workspace, capsys):
 
 
 def test_train_decoder_schedule_must_repeat_the_encoder_T(workspace, capsys):
-    ws, config = workspace
+    # T is stated once, as the encoder's [model] timesteps: the decoder
+    # reads no [schedule] timesteps, so one that differs is a usage error
+    ws, config, dec_config = workspace
     enc_dir = ws / "enc"
     assert run(["train-encoder", "--config", str(config), "--out", str(enc_dir)]) == 0
     capsys.readouterr()
-    config.write_text(config.read_text().replace("[schedule]\ntimesteps = 3",
-                                                 "[schedule]\ntimesteps = 4"))
+    dec_config.write_text(dec_config.read_text().replace("[schedule]\n",
+                                                         "[schedule]\ntimesteps = 4\n"))
     dec_dir = ws / "dec"
-    assert run(["train-decoder", "--config", str(_decoder_config(config)),
-                "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)]) == 1
+    assert run(["train-decoder", "--config", str(dec_config),
+                "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "timesteps = 4" in err and "T = 3" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'timesteps'" in err
     assert not (dec_dir / "resolved_config.ini").exists()
 
 
 def test_train_decoder_rejects_a_model_section(workspace, capsys):
     # the decoder's model config is the encoder checkpoint's; a [model]
     # section would be read and then ignored
-    ws, config = workspace
+    ws, config, dec_config = workspace
     cfg = toy_config(timesteps=3)
     training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
     dec_dir = ws / "dec"
-    assert run(["train-decoder", "--config", str(config),
+    bad = ws / "bad.ini"
+    bad.write_text("[model]\ntimesteps = 3\n" + dec_config.read_text())
+    assert run(["train-decoder", "--config", str(bad),
                 "--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(dec_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "[model]" in err
     assert not (dec_dir / "resolved_config.ini").exists()
-    assert run(["train-decoder", "--config", str(_decoder_config(config)),
+    assert run(["train-decoder", "--config", str(dec_config),
                 "--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(dec_dir)]) == 0
 
 
@@ -326,11 +404,11 @@ def test_eval_grid_beyond_dense_memory(tmp_path, capsys):
 
 
 def test_reconstruct_determinism_via_cli(workspace):
-    ws, config = workspace
+    ws, config, dec_config = workspace
     enc_dir = ws / "enc"
     run(["train-encoder", "--config", str(config), "--out", str(enc_dir)])
     dec_dir = ws / "dec"
-    run(["train-decoder", "--config", str(_decoder_config(config)),
+    run(["train-decoder", "--config", str(dec_config),
          "--ckpt-encoder", str(enc_dir / "encoder.ckpt"), "--out", str(dec_dir)])
     cloud = ws / "c.ply"
     run(["synth", "--kind", "cube", "--n", "96", "--out", str(cloud)])

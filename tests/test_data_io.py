@@ -201,6 +201,28 @@ def test_manifest_rejects_bad_synth_spec(tmp_path, spec):
     assert exc.value.line == 2
 
 
+_PLY_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
+               b"property float x\nproperty float y\nproperty float z\nend_header\n")
+
+
+@pytest.mark.parametrize("name, body, line", [
+    pytest.param("c.xyz", b"0 0 0\n\xff1 2 3\n", 2, id="xyz"),
+    pytest.param("c.xyz", b"0 0 0\r\n1 2 3\r\n4 5 \xe9\r\n", 3, id="xyz-crlf"),
+    pytest.param("c.ply", _PLY_HEADER + b"0 0 \x80\n", 8, id="ply"),
+    pytest.param("m.tsv", b"# dataset\na\tsynth:sphere:64:0.0:1\ttrain\nb\xc3(\tx\ttrain\n", 3,
+                 id="manifest"),
+])
+def test_non_utf8_bytes_are_a_parse_error_with_line(tmp_path, name, body, line):
+    path = tmp_path / name
+    path.write_bytes(body)
+    with pytest.raises(ParseError) as exc:
+        if name == "m.tsv":
+            data_io.read_manifest(path, 64)
+        else:
+            data_io.load_cloud(path)
+    assert exc.value.line == line and "UTF-8" in str(exc.value)
+
+
 def test_manifest_file_entries(tmp_path, rng):
     cloud = PointCloud(rng.normal(size=(100, 3)))
     data_io.save_cloud(cloud, tmp_path / "shape.xyz")

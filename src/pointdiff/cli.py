@@ -175,7 +175,10 @@ def cmd_train_decoder(args):
         {"seed": args.seed, "mask_strategy": args.mask_strategy, "loss_setting": args.loss_setting},
     )
     betas = {key: _coerce(value, float, key) for key, value in cfgfile["schedule"].items()}
-    schedule = diffusion.build_schedule(encoder.cfg.timesteps, **betas)
+    try:
+        schedule = diffusion.build_schedule(encoder.cfg.timesteps, **betas)
+    except InvalidArgument as exc:
+        raise UsageError(str(exc)) from exc
     dataset = _load_dataset(cfgfile["run"])
     out_dir = Path(args.out or cfgfile["run"].get("out_dir", "."))
     write_run_metadata(out_dir, [("model", encoder.cfg.to_dict()),

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
 
-# distance-matrix elements per block in nearest_indices (~0.5 MiB at 64-bit)
+# distance-matrix elements per block of the blocked searches (~0.5 MiB at 64-bit)
 _NN_BLOCK_ELEMS = 1 << 16
 
 # candidates per row beyond k that knn_group takes from its KD-tree.  One is
@@ -114,8 +114,8 @@ def sq_dists(a, b, out=None):
     ``out``, when given, is a pair of (n, m) arrays of the result dtype: the
     matrix is written into the first and returned, the second holds each
     axis' term, and nothing is allocated.
-    This is the library's exact point-to-point squared distance, apart from
-    the metrics' einsum path: ``knn_group`` recomputes its KD-tree
+    This is the library's exact point-to-point squared distance:
+    ``knn_group`` and ``nearest_sq_dists`` recompute their KD-tree
     candidates in the same arithmetic, and ``nearest_indices`` filters with
     a BLAS approximation and rechecks near-ties here.
     """
@@ -230,27 +230,21 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     return selected
 
 
-def knn_group(cloud: PointCloud, centers, group_size: int):
-    """For each center, the indices of its group_size nearest cloud points.
+def _tree_candidates(tree, centers, q, k):
+    """Each center's q nearest KD-tree candidates and whether they settle it.
 
-    Ordered by ascending distance, ties broken by lowest point index: equal
-    to ``np.argsort(sq_dists(centers, points), kind="stable")[:, :k]``.
-
-    One KD-tree over the cloud gives each center its q = min(k +
-    ``_KNN_MARGIN``, N) nearest candidates.  Their squared distances are
-    recomputed in ``sq_dists``' arithmetic and the candidates sorted by
-    (distance, index).  A row is kept when no point left out can come
-    first: the squared distance f of the tree's last candidate and the
-    exact k-th distance d_k satisfy ``f - d_k > (N + 16) * (eps * f + tiny)``.
-    Every other row (exact ties around the k-th distance: duplicates, grids)
-    is recomputed as the stable argsort of its whole ``sq_dists`` row, and
-    so is every row when q = N.
+    Returns ``cand`` (m, q), their squared distances ``d`` in ``sq_dists``'
+    arithmetic, each row's k-th smallest ``d_k`` and ``settled``: true where
+    the tree's last candidate, at squared distance f, proves that no point
+    left out comes within d_k, by ``f - d_k > (N + 16) * (eps * f + tiny)``
+    with N = ``tree.n``.  Callers recompute the other rows densely (ties
+    around d_k: duplicates, grids).
 
     The bound.  With u = eps / 2 and tiny the smallest subnormal, each
     rounding is off by at most u times its result plus tiny / 2.  cKDTree
     (p = 2, eps = 0) leaves a point out only when its own squared distance,
     or the distance bound of a tree cell holding it, is at least the final
-    k-th squared distance f' (a point is taken only when strictly nearer
+    q-th squared distance f' (a point is taken only when strictly nearer
     than the current q-th, and a cell dropped only when its bound exceeds
     it; the current q-th never grows).  A cell's bound is a sum of squared
     side distances, updated once per tree level by one subtraction and one
@@ -261,8 +255,30 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     left-out point's exact distance is at least f * (1 - (2N + 14)u) less
     (N + 8) tiny, and the test above proves it exceeds d_k, with room for
     the second-order terms and the rounding of the test itself.  Distances
-    that overflow make f - d_k infinite or NaN, and such rows are
-    recomputed.
+    that overflow make f - d_k infinite or NaN, and such rows are not
+    settled.
+    """
+    far, cand = tree.query(centers, q)
+    far, cand = far.reshape(-1, q)[:, -1], cand.reshape(-1, q)
+    dx, dy, dz = np.moveaxis(centers[:, None] - tree.data[cand], -1, 0)
+    d = (dx * dx + dy * dy) + dz * dz
+    d_k = np.partition(d, k - 1, axis=1)[:, k - 1]
+    f = far * far
+    finfo = np.finfo(np.float64)
+    settled = f - d_k > (tree.n + 16) * (finfo.eps * f + finfo.smallest_subnormal)
+    return cand, d, d_k, settled
+
+
+def knn_group(cloud: PointCloud, centers, group_size: int):
+    """For each center, the indices of its group_size nearest cloud points.
+
+    Ordered by ascending distance, ties broken by lowest point index: equal
+    to ``np.argsort(sq_dists(centers, points), kind="stable")[:, :k]``.
+
+    One KD-tree gives q = min(k + ``_KNN_MARGIN``, N) candidates per center
+    (``_tree_candidates``), sorted by (distance, index).  Rows they do not
+    settle, and every row when q = N, are the stable argsort of the whole
+    ``sq_dists`` row.
     """
     n, k = len(cloud), group_size
     if not 1 <= k <= n:
@@ -275,19 +291,42 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     groups = np.empty((len(centers), k), dtype=np.intp)
     settled = np.zeros(len(centers), dtype=bool)
     if q < n:  # at q = N every point is a candidate and the dense rows are cheaper
-        far, cand = cKDTree(cloud.points).query(centers, q)
-        far, cand = far.reshape(-1, q)[:, -1], cand.reshape(-1, q)
-        dx, dy, dz = np.moveaxis(centers[:, None] - cloud.points[cand], -1, 0)
-        d = (dx * dx + dy * dy) + dz * dz
+        cand, d, _, settled = _tree_candidates(cKDTree(cloud.points), centers, q, k)
         order = np.lexsort((cand, d))
         groups[:] = np.take_along_axis(cand, order[:, :k], axis=1)
-        d_k = np.take_along_axis(d, order[:, k - 1 : k], axis=1)[:, 0]
-        f = far * far
-        finfo = np.finfo(np.float64)
-        settled = f - d_k > (n + 16) * (finfo.eps * f + finfo.smallest_subnormal)
     for i in np.flatnonzero(~settled):
         groups[i] = np.argsort(sq_dists(centers[i : i + 1], pts)[0], kind="stable")[:k]
     return groups
+
+
+def nearest_tree(points):
+    """The KD-tree ``nearest_sq_dists`` searches: over the distinct rows of
+    the finite (N, 3) float64 ``points`` (copies would tie as candidates and
+    leave rows unsettled), or over ``points`` itself if it holds no copies."""
+    pts = points[np.lexsort(points.T)]
+    keep = np.ones(len(pts), dtype=bool)
+    np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
+    return cKDTree(points if keep.all() else pts[keep])
+
+
+def nearest_sq_dists(tree, queries):
+    """Each query row's squared distance to the nearest point of ``tree``
+    (from ``nearest_tree``): bitwise ``sq_dists(queries, points).min(axis=1)``.
+
+    Each row takes its q = min(2, N) nearest candidates, in blocks of
+    ``_NN_BLOCK_ELEMS // 8`` rows.  Rows ``_tree_candidates`` does not
+    settle are the minimum of their ``sq_dists`` row, in blocks of about
+    ``_NN_BLOCK_ELEMS`` elements (at q = N every row is exact either way).
+    """
+    nearest, settled = np.empty(len(queries)), np.empty(len(queries), dtype=bool)
+    for lo in range(0, len(queries), _NN_BLOCK_ELEMS // 8):
+        rows = slice(lo, lo + _NN_BLOCK_ELEMS // 8)
+        _, _, nearest[rows], settled[rows] = _tree_candidates(
+            tree, queries[rows], min(2, tree.n), 1)
+    dense = np.flatnonzero(~settled)
+    for r in np.array_split(dense, max(1, len(dense) * tree.n // _NN_BLOCK_ELEMS)):
+        nearest[r] = sq_dists(queries[r], tree.data).min(axis=1)
+    return nearest
 
 
 def segment(cloud: PointCloud, num_groups: int, group_size: int) -> PatchSet:

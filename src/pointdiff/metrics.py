@@ -1,15 +1,10 @@
 """Evaluation metrics: Chamfer-L2, Hausdorff, MMD-CD, 1-NN-CD and JSD.
 
-The nearest-neighbor searches run through a KD-tree for large clouds; the
-reported distances are always recomputed from the matched coordinates with
-the same arithmetic as the O(n^2) definition, so accelerated and brute-force
-paths agree bitwise.
-
-The set metrics share one table over every (gen, ref) pair: each pair costs
-one nearest-neighbour search each way, from which both its Chamfer and its
-Hausdorff distance are read, and each cloud's KD-tree is built at most once
-per call.  ``evaluate`` over G generated and R reference clouds thus runs
-2·G·R searches and builds at most G + R trees.
+Every distance metric reads one table over every (gen, ref) pair: one
+exact ``geometry.nearest_sq_dists`` search each way per pair, bitwise the
+dense ``sq_dists`` minimum, gives both its Chamfer and Hausdorff distance.
+Each cloud's ``geometry.nearest_tree`` is built once per call, so
+``evaluate`` over G and R clouds builds G + R trees for 2·G·R searches.
 """
 
 from __future__ import annotations
@@ -17,86 +12,48 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
-from .geometry import PointCloud
-
-# below this size a full distance matrix is cheaper than tree construction
-_BRUTE_FORCE_LIMIT = 512
+from .geometry import PointCloud, nearest_sq_dists, nearest_tree
 
 
 def _as_points(cloud):
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise InvalidArgument(f"expected a non-empty (N, 3) cloud, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgument("cloud contains non-finite coordinates")
     return pts
-
-
-def _brute_force(a, b):
-    return a.shape[0] * b.shape[0] <= _BRUTE_FORCE_LIMIT * _BRUTE_FORCE_LIMIT // 4
-
-
-def _nn_sq_dists(a, b, tree=None):
-    """For each point of ``a``, squared distance to its nearest point in ``b``.
-
-    ``tree`` is ``b``'s KD-tree when the caller has one; it is only used
-    above the brute-force limit.
-    """
-    if _brute_force(a, b):
-        diff = a[:, None, :] - b[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        idx = np.argmin(d2, axis=1)
-    else:
-        _, idx = (cKDTree(b) if tree is None else tree).query(a, k=1)
-    diff = a - b[idx]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _chamfer(d_ab, d_ba):
-    return float(np.mean(d_ab) + np.mean(d_ba))
-
-
-def _hausdorff(d_ab, d_ba):
-    return float(np.sqrt(max(np.max(d_ab), np.max(d_ba))))
 
 
 def chamfer_l2(a, b):
     """Symmetric mean-of-squared nearest-neighbor distance."""
-    a, b = _as_points(a), _as_points(b)
-    return _chamfer(_nn_sq_dists(a, b), _nn_sq_dists(b, a))
+    cd, _ = _pair_table("chamfer_l2", [a], [b])
+    return cd[0][0]
 
 
 def hausdorff(a, b):
     """Symmetric Hausdorff distance (Euclidean, unsquared)."""
-    a, b = _as_points(a), _as_points(b)
-    return _hausdorff(_nn_sq_dists(a, b), _nn_sq_dists(b, a))
+    _, hd = _pair_table("hausdorff", [a], [b])
+    return hd[0][0]
 
 
 def _pair_table(what, gen_set, ref_set):
     """``chamfer_l2(g, r)`` and ``hausdorff(g, r)`` of every pair, as two
-    nested lists of floats indexed ``[gen][ref]``.
-
-    One search each way per pair; a cloud's KD-tree is built the first time
-    a search into it needs one and reused after that.
+    nested lists of floats indexed ``[gen][ref]`` (see the module docstring).
     """
     if not len(gen_set) or not len(ref_set):
         raise InvalidArgument(f"{what}: both sets must be non-empty")
     gen = [_as_points(c) for c in gen_set]
     ref = [_as_points(c) for c in ref_set]
-    trees = {}
-
-    def nn(a, b, key):
-        if key not in trees and not _brute_force(a, b):
-            trees[key] = cKDTree(b)
-        return _nn_sq_dists(a, b, trees.get(key))
-
+    gen_trees, ref_trees = [nearest_tree(g) for g in gen], [nearest_tree(r) for r in ref]
     cd = [[0.0] * len(ref) for _ in gen]
     hd = [[0.0] * len(ref) for _ in gen]
-    for i, g in enumerate(gen):
-        for j, r in enumerate(ref):
-            d_gr, d_rg = nn(g, r, ("ref", j)), nn(r, g, ("gen", i))
-            cd[i][j], hd[i][j] = _chamfer(d_gr, d_rg), _hausdorff(d_gr, d_rg)
+    for i, (g, g_tree) in enumerate(zip(gen, gen_trees)):
+        for j, (r, r_tree) in enumerate(zip(ref, ref_trees)):
+            d_gr, d_rg = nearest_sq_dists(r_tree, g), nearest_sq_dists(g_tree, r)
+            cd[i][j] = float(np.mean(d_gr) + np.mean(d_rg))
+            hd[i][j] = float(np.sqrt(max(np.max(d_gr), np.max(d_rg))))
     return cd, hd
 
 

@@ -34,22 +34,20 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles: exhaustive O(n^2) distance matrices.
-# Squared distances use the einsum inner product so the elementary arithmetic
-# matches the library's definition and comparisons can be exact.
+# Squared distances are the dense definition that ``geometry.sq_dists``, the
+# library's one point-to-point arithmetic, is pinned to, so comparisons with
+# it can be exact.
 
 
-def _full_d2(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def dense_d2(a, b):
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
 
 
 def brute_chamfer(a, b):
-    d2 = _full_d2(a, b)
+    d2 = dense_d2(a, b)
     return float(np.mean(np.min(d2, axis=1)) + np.mean(np.min(d2, axis=0)))
 
 
 def brute_hausdorff(a, b):
-    d2 = _full_d2(a, b)
+    d2 = dense_d2(a, b)
     return float(np.sqrt(max(np.max(np.min(d2, axis=1)), np.max(np.min(d2, axis=0)))))

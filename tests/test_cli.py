@@ -127,6 +127,7 @@ def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
     ("train-decoder", "train", "mask_strategy = bogus"),
     ("train-decoder", "train", "loss_setting = bogus"),
     ("train-decoder", "schedule", "beta_start = tiny"),
+    ("train-decoder", "schedule", "beta_start = 0.9"),
     ("train-decoder", "run", "target_points = many"),
 ])
 def test_malformed_config_value_exits_2(workspace, capsys, command, section, line):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_d2
 from pointdiff import data_io, geometry as geo
 from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import MaskStrategy, PointCloud
@@ -68,7 +69,7 @@ def test_knn_group_sorted_and_stable():
 
 def _knn_oracle(pts, centers, k):
     # stable argsort of whole rows of the dense definition, 16 centers at a time
-    return np.concatenate([np.argsort(_dense_d2(centers[lo : lo + 16], pts), axis=1,
+    return np.concatenate([np.argsort(dense_d2(centers[lo : lo + 16], pts), axis=1,
                                       kind="stable")[:, :k]
                            for lo in range(0, len(centers), 16)])
 
@@ -117,7 +118,7 @@ def test_knn_group_partition_matches_stable_argsort_with_duplicates(rng, k):
     _assert_knn_matches_oracle(pts, rng.choice(280, size=9, replace=False), k)
 
 
-def test_knn_group_partition_matches_stable_argsort_on_torus():
+def test_knn_group_matches_stable_argsort_on_torus():
     cloud = data_io.synth_shape("torus", 4096, seed=2)
     _assert_knn_matches_oracle(cloud.points, geo.fps(cloud, 64), 32)
 
@@ -260,12 +261,8 @@ def test_assemble_override_count_mismatch(sphere_cloud):
 # the dense np.sum + argmin definition
 
 
-def _dense_d2(a, b):
-    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-
-
 def _assert_nearest_matches_dense(a, b):
-    d2 = _dense_d2(a, b)
+    d2 = dense_d2(a, b)
     a_to_b, b_to_a = geo.nearest_indices(a, b)
     assert np.array_equal(a_to_b, d2.argmin(axis=1))
     assert np.array_equal(b_to_a, d2.argmin(axis=0))
@@ -287,17 +284,17 @@ def test_sq_dists_bitwise_equals_dense_sum(a, b, dtype):
     a, b = a.astype(dtype), b.astype(dtype)
     d2 = geo.sq_dists(a, b)
     assert d2.dtype == dtype
-    assert np.array_equal(d2, _dense_d2(a, b))
+    assert np.array_equal(d2, dense_d2(a, b))
 
 
 def test_sq_dists_writes_into_out(rng):
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
     d, scratch = np.full((2, 5, 7), np.nan)
     assert geo.sq_dists(a, b, out=(d, scratch)) is d
-    assert np.array_equal(d, _dense_d2(a, b))
+    assert np.array_equal(d, dense_d2(a, b))
     buf = np.empty((2, 5, 7), dtype=np.float32)
     a32, b32 = a.astype(np.float32), b.astype(np.float32)
-    assert np.array_equal(geo.sq_dists(a32, b32, out=tuple(buf)), _dense_d2(a32, b32))
+    assert np.array_equal(geo.sq_dists(a32, b32, out=tuple(buf)), dense_d2(a32, b32))
 
 
 @settings(max_examples=80, deadline=None)
@@ -360,7 +357,7 @@ def _near_ties(rng, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_nearest_indices_near_ties(rng, dtype):
     a, b = _near_ties(rng, dtype)
-    d2 = _dense_d2(a, b)
+    d2 = dense_d2(a, b)
     pair = d2.reshape(len(a), len(a), 2)[np.arange(len(a)), np.arange(len(a))]
     assert np.mean(pair[:, 0] == pair[:, 1]) < 0.9  # not just exact ties
     _assert_nearest_matches_dense(a, b)
@@ -385,5 +382,5 @@ def test_nearest_indices_rechecks_only_ambiguous_rows(rng):
             mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
         a_to_b = geo._nearest_rows(a, b)
     assert [len(call.args[0]) for call in exact.call_args_list] == [1, 1]
-    assert np.array_equal(a_to_b, _dense_d2(a, b).argmin(axis=1))
+    assert np.array_equal(a_to_b, dense_d2(a, b).argmin(axis=1))
     assert a_to_b[1] == a_to_b[4] == 3

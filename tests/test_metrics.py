@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import brute_chamfer, brute_hausdorff
-from pointdiff import metrics
+from conftest import brute_chamfer, brute_hausdorff, dense_d2
+from pointdiff import geometry, metrics
 from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import PointCloud
 
@@ -33,8 +35,8 @@ def test_chamfer_identity_and_symmetry(rng):
 
 
 def test_chamfer_kdtree_path_matches_brute(rng):
-    # above the brute-force size cutoff the KD-tree path takes over; the
-    # distances must still be recomputed with identical arithmetic
+    # clouds of hundreds of points: the candidates' distances must still be
+    # recomputed with identical arithmetic
     a = rng.normal(size=(700, 3))
     b = rng.normal(size=(650, 3))
     assert metrics.chamfer_l2(a, b) == brute_chamfer(a, b)
@@ -197,8 +199,8 @@ def _loop_one_nn_cd(gen, ref):
 
 
 @pytest.mark.parametrize("sizes", [
-    pytest.param(((20, 64), (30, 90)), id="brute-force"),   # every pair < 512^2/4
-    pytest.param(((300, 400), (260, 500)), id="kd-tree"),  # every pair > 512^2/4
+    pytest.param(((20, 64), (30, 90)), id="brute-force"),   # tens of points
+    pytest.param(((300, 400), (260, 500)), id="kd-tree"),  # hundreds of points
     pytest.param(((40, 300), (250, 600)), id="mixed"),
 ])
 @pytest.mark.parametrize("n_gen, n_ref", [(3, 3), (3, 2), (1, 4)])
@@ -231,11 +233,11 @@ def test_evaluate_builds_each_tree_once(rng, monkeypatch):
         built.append(len(points))
         return cKDTree(points)
 
-    monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+    monkeypatch.setattr(geometry, "cKDTree", counting_tree)
     gen = [rng.uniform(-0.45, 0.45, size=(300 + i, 3)) for i in range(3)]
     ref = [rng.uniform(-0.45, 0.45, size=(400 + i, 3)) for i in range(3)]
     metrics.evaluate(gen, ref)
-    # 9 pairs searched both ways above the brute-force limit; one tree per cloud
+    # 9 pairs searched both ways; one tree per cloud
     assert sorted(built) == [300, 301, 302, 400, 401, 402]
 
 
@@ -245,3 +247,78 @@ def test_set_metrics_reject_empty_sets(rng, fn):
     for gen, ref in (([], [cloud]), ([cloud], []), ([], [])):
         with pytest.raises(InvalidArgument):
             fn(gen, ref)
+
+
+# ---------------------------------------------------------------------------
+# the exact KD-tree search at its edges, against the dense oracle
+
+
+def _grid(rng, n):
+    return np.floor(rng.uniform(0.0, 1.0, size=(n, 3)) * 8) / 8
+
+
+def _quantized(rng, n):
+    # the codec's decoded points: few distinct values, most rows repeated
+    return np.round(rng.uniform(-0.5, 0.5, size=(n, 3)) * 8) / 8
+
+
+def _jittered(rng, b):
+    return b + 1e-9 * rng.normal(size=b.shape), b
+
+
+_EDGE_CASES = {
+    "grid": lambda rng: (_grid(rng, 700), _grid(rng, 650)),
+    "grid-vs-cloud": lambda rng: (rng.uniform(0.0, 1.0, size=(400, 3)), _grid(rng, 900)),
+    "quantized-tree-side": lambda rng: (rng.uniform(-0.5, 0.5, size=(800, 3)),
+                                        _quantized(rng, 3000)),
+    "offset-1e3-spread-1e-3": lambda rng: (1e3 + 1e-3 * rng.normal(size=(700, 3)),
+                                           1e3 + 1e-3 * rng.normal(size=(650, 3))),
+    "jitter-1e-9": lambda rng: _jittered(rng, rng.normal(size=(600, 3))),
+    "one-distinct-point": lambda rng: (rng.normal(size=(50, 3)),
+                                       np.repeat(rng.normal(size=(1, 3)), 9, axis=0)),
+    "two-distinct-points": lambda rng: (rng.normal(size=(50, 3)),
+                                        np.repeat(rng.normal(size=(2, 3)), [5, 30], axis=0)),
+    "single-points": lambda rng: (rng.normal(size=(1, 3)), rng.normal(size=(1, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_chamfer_and_hausdorff_exact_at_the_edges(rng, case):
+    a, b = _EDGE_CASES[case](rng)
+    for x, y in ((a, b), (b, a)):
+        assert metrics.chamfer_l2(x, y) == brute_chamfer(x, y)
+        assert metrics.hausdorff(x, y) == brute_hausdorff(x, y)
+        d = geometry.nearest_sq_dists(geometry.nearest_tree(y), x)
+        assert np.array_equal(d, dense_d2(x, y).min(axis=1))
+
+
+def test_nearest_sq_dists_dense_rows_are_only_those_the_bound_rejects(rng):
+    # quantized gens keep few distinct points; as candidates their copies
+    # would tie, but the tree holds each distinct point once, so no query is
+    # recomputed densely but the two halfway between two distinct points
+    gens = np.concatenate([_quantized(rng, 4000), [[0.0, 0.0, 0.0], [0.125, 0.0, 0.0]]])
+    assert len(np.unique(gens, axis=0)) < len(gens) // 2
+    tied = np.array([[0.0625, 0.0, 0.0], [0.0625, 0.0, 0.0]])
+    ref = np.concatenate([rng.uniform(-0.5, 0.5, size=(900, 3)), tied])
+    with mock.patch.object(geometry, "sq_dists", wraps=geometry.sq_dists) as exact:
+        d = geometry.nearest_sq_dists(geometry.nearest_tree(gens), ref)
+    assert np.array_equal(np.concatenate([c.args[0] for c in exact.call_args_list]), tied)
+    assert np.array_equal(d, dense_d2(ref, gens).min(axis=1))
+
+
+_NON_FINITE = {
+    "chamfer_l2": lambda bad, ok: metrics.chamfer_l2(bad, ok),
+    "hausdorff": lambda bad, ok: metrics.hausdorff(ok, bad),
+    "evaluate": lambda bad, ok: metrics.evaluate([ok], [ok, bad]),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [8, 2000])
+@pytest.mark.parametrize("fn", list(_NON_FINITE))
+def test_metrics_reject_non_finite_clouds(rng, fn, n, value):
+    ok = rng.uniform(-0.4, 0.4, size=(n, 3))
+    bad = ok.copy()
+    bad[n // 2, 1] = value
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        _NON_FINITE[fn](bad, ok)

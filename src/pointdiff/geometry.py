@@ -256,10 +256,12 @@ def _tree_candidates(tree, centers, q, k):
     (N + 8) tiny, and the test above proves it exceeds d_k, with room for
     the second-order terms and the rounding of the test itself.  Distances
     that overflow make f - d_k infinite or NaN, and such rows are not
-    settled.
+    settled.  cKDTree returns a candidate whose distance overflows as index
+    N at distance inf; that row has f = inf and is not settled either, so
+    the index is clipped only to keep the gather in bounds.
     """
     far, cand = tree.query(centers, q)
-    far, cand = far.reshape(-1, q)[:, -1], cand.reshape(-1, q)
+    far, cand = far.reshape(-1, q)[:, -1], np.minimum(cand.reshape(-1, q), tree.n - 1)
     dx, dy, dz = np.moveaxis(centers[:, None] - tree.data[cand], -1, 0)
     d = (dx * dx + dy * dy) + dz * dz
     d_k = np.partition(d, k - 1, axis=1)[:, k - 1]
@@ -299,11 +301,30 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     return groups
 
 
+def _copy_key(points):
+    """One 64-bit key per row of ``points``, equal on equal rows: the bits of
+    each coordinate of ``points + 0.0`` (so -0.0 keys as 0.0), each step of
+    the mix a bijection, so distinct rows rarely collide."""
+    bits = (points + 0.0).view(np.uint64)
+    key = np.zeros(len(points), dtype=np.uint64)
+    for axis in range(3):
+        key ^= bits[:, axis]
+        key ^= key >> np.uint64(31)
+        key *= np.uint64(0x9E3779B97F4A7C15)
+    return key
+
+
 def nearest_tree(points):
     """The KD-tree ``nearest_sq_dists`` searches: over the distinct rows of
     the finite (N, 3) float64 ``points`` (copies would tie as candidates and
-    leave rows unsettled), or over ``points`` itself if it holds no copies."""
-    pts = points[np.lexsort(points.T)]
+    leave rows unsettled), or over ``points`` itself if it holds no copies.
+
+    Copies are found as equal adjacent rows after one argsort of
+    ``_copy_key``.  A key collision can only keep apart two copies, which
+    then both stay in the tree: some rows go to the dense recomputation,
+    and no value changes.
+    """
+    pts = points[np.argsort(_copy_key(points))]
     keep = np.ones(len(pts), dtype=bool)
     np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
     return cKDTree(points if keep.all() else pts[keep])

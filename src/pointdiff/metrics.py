@@ -1,10 +1,34 @@
 """Evaluation metrics: Chamfer-L2, Hausdorff, MMD-CD, 1-NN-CD and JSD.
 
-Every distance metric reads one table over every (gen, ref) pair: one
-exact ``geometry.nearest_sq_dists`` search each way per pair, bitwise the
-dense ``sq_dists`` minimum, gives both its Chamfer and Hausdorff distance.
-Each cloud's ``geometry.nearest_tree`` is built once per call, so
-``evaluate`` over G and R clouds builds G + R trees for 2·G·R searches.
+Every distance metric reads ``_pair_minima``.  Of each (gen, ref) pair's
+Chamfer distance CD = fl(mean(d_gr) + mean(d_rg)) and Hausdorff distance
+HD = sqrt(max(max(d_gr), max(d_rg))) it returns only what the metrics report:
+each row's CD and HD minimum, each column's CD minimum and, for paired sets,
+the diagonal.  Each search is an exact ``geometry.nearest_sq_dists``, bitwise
+the dense ``sq_dists`` minimum, and each cloud's ``geometry.nearest_tree`` is
+built once per call.
+
+Pruning.  First every row and every column gets one pair (the diagonal
+when G = R), then come the other pairs.  Each pair searches first in the
+direction with fewer query rows, giving d1, and skips the second direction
+when ``mean(d1)`` exceeds both its row's and its column's CD minimum so far
+and ``sqrt(max(d1))`` exceeds its row's HD minimum so far.  When only the HD
+test fails, the second direction is searched in blocks of ``_SEARCH_ROWS``
+rows and stops at the first block holding a d with ``sqrt(d)`` above the
+row's HD minimum.  So ``evaluate`` over G and R clouds builds G + R trees
+and runs between G·R + max(G, R) and 2·G·R searches.
+
+Why it stays exact, with no margin.  Every d is >= 0, so ``mean(d2) >= 0``,
+and IEEE rounding is monotone: CD = fl(mean(d1) + mean(d2)) >=
+fl(mean(d1) + 0) = mean(d1).  ``sqrt`` is correctly rounded, hence monotone
+too: HD >= sqrt(max(d1)), and HD >= sqrt(d) for every d of d2.  The minima
+so far are no smaller than the final ones, so a skipped pair is strictly
+greater than every minimum it could change and is none of them: every
+reported float is the one the full G×R table gives.  Ties (``==``) are
+never skipped.  A row or column with no pair yet stands at inf, and inf
+never exceeds inf, so an overflowing pair is searched in full.  A maximum
+does not depend on the order of the blocks, so the HD stop is exact; the
+CD tests read only whole means, never a partial sum.
 """
 
 from __future__ import annotations
@@ -26,55 +50,88 @@ def _as_points(cloud):
     return pts
 
 
+# query rows per block of a search that may stop early (see the module docstring)
+_SEARCH_ROWS = 2048
+
+
 def chamfer_l2(a, b):
     """Symmetric mean-of-squared nearest-neighbor distance."""
-    cd, _ = _pair_table("chamfer_l2", [a], [b])
-    return cd[0][0]
+    *_, diagonal = _pair_minima("chamfer_l2", [a], [b])
+    return diagonal[0][0]
 
 
 def hausdorff(a, b):
     """Symmetric Hausdorff distance (Euclidean, unsquared)."""
-    _, hd = _pair_table("hausdorff", [a], [b])
-    return hd[0][0]
+    *_, diagonal = _pair_minima("hausdorff", [a], [b])
+    return diagonal[0][1]
 
 
-def _pair_table(what, gen_set, ref_set):
-    """``chamfer_l2(g, r)`` and ``hausdorff(g, r)`` of every pair, as two
-    nested lists of floats indexed ``[gen][ref]`` (see the module docstring).
+def _search(queries, tree, hd_bound=np.inf):
+    """``nearest_sq_dists(tree, queries)``, ``_SEARCH_ROWS`` rows at a time,
+    or None as soon as a block holds a d with ``sqrt(d) > hd_bound``."""
+    blocks = []
+    for lo in range(0, len(queries), _SEARCH_ROWS):
+        blocks.append(nearest_sq_dists(tree, queries[lo : lo + _SEARCH_ROWS]))
+        if np.sqrt(np.max(blocks[-1])) > hd_bound:
+            return None
+    return np.concatenate(blocks)
+
+
+def _pair_minima(what, gen_set, ref_set):
+    """Of ``chamfer_l2(g, r)`` and ``hausdorff(g, r)`` over every pair:
+    each gen's CD minimum, each ref's CD minimum, each gen's HD minimum, and
+    the (CD, HD) of each diagonal pair when the sets are paired, as Python
+    floats.  Pairs that cannot change a minimum are pruned (see the module
+    docstring).
     """
     if not len(gen_set) or not len(ref_set):
         raise InvalidArgument(f"{what}: both sets must be non-empty")
     gen = [_as_points(c) for c in gen_set]
     ref = [_as_points(c) for c in ref_set]
     gen_trees, ref_trees = [nearest_tree(g) for g in gen], [nearest_tree(r) for r in ref]
-    cd = [[0.0] * len(ref) for _ in gen]
-    hd = [[0.0] * len(ref) for _ in gen]
-    for i, (g, g_tree) in enumerate(zip(gen, gen_trees)):
-        for j, (r, r_tree) in enumerate(zip(ref, ref_trees)):
-            d_gr, d_rg = nearest_sq_dists(r_tree, g), nearest_sq_dists(g_tree, r)
-            cd[i][j] = float(np.mean(d_gr) + np.mean(d_rg))
-            hd[i][j] = float(np.sqrt(max(np.max(d_gr), np.max(d_rg))))
-    return cd, hd
+    n_gen, n_ref = len(gen), len(ref)
+    row_cd, col_cd, row_hd = [np.inf] * n_gen, [np.inf] * n_ref, [np.inf] * n_gen
+    diagonal = []
+    cover = [(k % n_gen, k % n_ref) for k in range(max(n_gen, n_ref))]
+    rest = sorted(set(np.ndindex(n_gen, n_ref)) - set(cover))
+    for i, j in cover + rest:
+        # (queries, tree) each way, the one with fewer query rows first
+        first, second = sorted([(gen[i], ref_trees[j]), (ref[j], gen_trees[i])],
+                               key=lambda way: len(way[0]))
+        d1 = _search(*first)
+        cd_low, hd_low = np.mean(d1), np.sqrt(np.max(d1))
+        cd_pruned = cd_low > row_cd[i] and cd_low > col_cd[j]
+        if cd_pruned and hd_low > row_hd[i]:
+            continue
+        d2 = _search(*second, hd_bound=row_hd[i] if cd_pruned else np.inf)
+        if d2 is None:
+            continue
+        cd = float(cd_low + np.mean(d2))
+        hd = float(np.sqrt(max(np.max(d1), np.max(d2))))
+        row_cd[i], col_cd[j], row_hd[i] = min(row_cd[i], cd), min(col_cd[j], cd), min(row_hd[i], hd)
+        if i == j and n_gen == n_ref:
+            diagonal.append((cd, hd))
+    return row_cd, col_cd, row_hd, diagonal
 
 
-def _mean_of_row_minima(rows):
-    """Mean of each row's minimum, summed left to right from 0.0."""
+def _mean(minima):
+    """Mean of the minima, summed left to right from 0.0."""
     total = 0.0
-    for row in rows:
-        total += min(row)
-    return total / len(rows)
+    for value in minima:
+        total += value
+    return total / len(minima)
 
 
 def mmd_cd(gen_set, ref_set):
     """Mean over references of the best Chamfer match in the generated set."""
-    cd, _ = _pair_table("mmd_cd", gen_set, ref_set)
-    return _mean_of_row_minima(list(zip(*cd)))
+    _, col_cd, _, _ = _pair_minima("mmd_cd", gen_set, ref_set)
+    return _mean(col_cd)
 
 
 def one_nn_cd(gen_set, ref_set):
     """Mean over generated clouds of the Chamfer distance to the nearest reference."""
-    cd, _ = _pair_table("one_nn_cd", gen_set, ref_set)
-    return _mean_of_row_minima(cd)
+    row_cd, _, _, _ = _pair_minima("one_nn_cd", gen_set, ref_set)
+    return _mean(row_cd)
 
 
 # flat cell indices reach grid**3, which must stay inside int64
@@ -135,21 +192,24 @@ class MetricReport:
 def evaluate(gen_set, ref_set, grid_resolution=32, ids=None) -> MetricReport:
     """All four metrics, plus per-item CD/HD when the sets are paired.
 
-    Every distance comes from one pair table (see the module docstring).
+    Every distance comes from ``_pair_minima`` (see the module docstring).
+    Paired sets take one id per item, "0", "1", ... when ``ids`` is None.
     """
+    paired = len(gen_set) == len(ref_set)
+    if paired and ids is not None and len(ids) != len(gen_set):
+        raise InvalidArgument(f"evaluate: {len(ids)} ids for {len(gen_set)} paired clouds")
     divergence = jsd(gen_set, ref_set, grid_resolution)  # first: it checks the grid
-    cd, hd = _pair_table("evaluate", gen_set, ref_set)
+    row_cd, col_cd, row_hd, diagonal = _pair_minima("evaluate", gen_set, ref_set)
     report = MetricReport(
-        mmd_cd=_mean_of_row_minima(list(zip(*cd))),
-        one_nn_cd=_mean_of_row_minima(cd),
+        mmd_cd=_mean(col_cd),
+        one_nn_cd=_mean(row_cd),
         jsd=divergence,
-        hd=float(np.mean([min(row) for row in hd])),
+        hd=float(np.mean(row_hd)),
     )
-    if len(gen_set) == len(ref_set):
+    if paired:
         if ids is None:
             ids = [str(i) for i in range(len(gen_set))]
-        for item_id, i in zip(ids, range(len(gen_set))):
-            report.per_item.append((item_id, cd[i][i], hd[i][i]))
+        report.per_item = [(item_id, cd, hd) for item_id, (cd, hd) in zip(ids, diagonal)]
     return report
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointdiff import data_io
+from pointdiff import data_io, metrics
 from pointdiff.model import ModelConfig
 
 
@@ -51,3 +51,53 @@ def brute_chamfer(a, b):
 def brute_hausdorff(a, b):
     d2 = dense_d2(a, b)
     return float(np.sqrt(max(np.max(np.min(d2, axis=1)), np.max(np.min(d2, axis=0)))))
+
+
+# ---------------------------------------------------------------------------
+# the distance metrics composed from their one-pair public functions: the
+# oracle that the pruned set metrics must equal bitwise
+
+
+def composed_report(gen, ref, ids=None, grid_resolution=32):
+    """``metrics.evaluate``'s report, rebuilt from ``chamfer_l2``,
+    ``hausdorff`` and ``jsd`` over every pair, minima summed one by one."""
+    cd = [[metrics.chamfer_l2(g, r) for r in ref] for g in gen]
+    hd = [[metrics.hausdorff(g, r) for r in ref] for g in gen]
+    mmd, one_nn = 0.0, 0.0
+    for j in range(len(ref)):
+        mmd += min(row[j] for row in cd)
+    for row in cd:
+        one_nn += min(row)
+    per_item = []
+    if len(gen) == len(ref):
+        ids = [str(i) for i in range(len(gen))] if ids is None else ids
+        per_item = [(item_id, cd[i][i], hd[i][i]) for i, item_id in enumerate(ids)]
+    return metrics.MetricReport(
+        mmd_cd=mmd / len(ref), one_nn_cd=one_nn / len(gen),
+        jsd=metrics.jsd(gen, ref, grid_resolution),
+        hd=float(np.mean([min(row) for row in hd])), per_item=per_item)
+
+
+def translated_shapes(sizes, seed):
+    """Four distinct synthetic shapes, scaled by 0.2 into the four corners of
+    a square inside [-0.5, 0.5]^3: every pair of different shapes lies far
+    apart, so the metrics can prune all their second searches."""
+    corners = [(-0.25, -0.25, 0.0), (0.25, -0.25, 0.0), (-0.25, 0.25, 0.0), (0.25, 0.25, 0.0)]
+    kinds = ("sphere", "cube", "torus", "cylinder")
+    return [0.2 * data_io.synth_shape(kind, n, seed=seed + k).points + corner
+            for k, (kind, n, corner) in enumerate(zip(kinds, sizes, corners))]
+
+
+@pytest.fixture
+def nn_searches(monkeypatch):
+    """Every ``nearest_sq_dists`` call the metrics make, as (tree size, query
+    rows).  A search of fewer than ``metrics._SEARCH_ROWS`` rows is one call."""
+    calls = []
+    search = metrics.nearest_sq_dists
+
+    def counting(tree, queries):
+        calls.append((tree.n, len(queries)))
+        return search(tree, queries)
+
+    monkeypatch.setattr(metrics, "nearest_sq_dists", counting)
+    return calls

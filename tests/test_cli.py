@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import toy_config
-from pointdiff import cli, data_io, engine as eg, tasks, training
+from conftest import composed_report, toy_config, translated_shapes
+from pointdiff import cli, data_io, engine as eg, metrics, tasks, training
+from pointdiff.geometry import PointCloud
 from pointdiff.model import Model
 
 
@@ -402,6 +403,27 @@ def test_eval_grid_beyond_dense_memory(tmp_path, capsys):
     assert run(argv) == 0
     assert "jsd" in capsys.readouterr().out
     assert run(argv[:-4] + ["--grid", str(2**20 + 1), "--out", argv[-1]]) == 1
+
+
+def test_eval_csv_equals_the_composed_public_functions(tmp_path, nn_searches):
+    # four translated shapes, where evaluate skips every off-diagonal
+    # second search: 2 searches for each of the 4 diagonal pairs, 1 for
+    # each of the other 12
+    dirs = {"gen": ((300, 310, 320, 330), 1), "ref": ((305, 315, 325, 335), 5)}
+    sets = {}
+    for name, (sizes, seed) in dirs.items():
+        (tmp_path / name).mkdir()
+        for k, pts in enumerate(translated_shapes(sizes, seed)):
+            data_io.save_cloud(PointCloud(pts), tmp_path / name / f"shape{k}.ply")
+        sets[name] = [data_io.load_cloud(tmp_path / name / f"shape{k}.ply") for k in range(4)]
+    out = tmp_path / "metrics.csv"
+    assert run(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(tmp_path / "ref"),
+                "--out", str(out)]) == 0
+    assert len(nn_searches) == 2 * 4 + 12
+    want = tmp_path / "want.csv"
+    metrics.report_to_csv(composed_report(sets["gen"], sets["ref"],
+                                          ids=[f"shape{k}" for k in range(4)]), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_reconstruct_determinism_via_cli(workspace):

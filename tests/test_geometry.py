@@ -112,7 +112,7 @@ def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 8, 20, 280])
-def test_knn_group_partition_matches_stable_argsort_with_duplicates(rng, k):
+def test_knn_group_matches_stable_argsort_with_duplicates(rng, k):
     # every point appears 7 times, in shuffled positions
     pts = np.repeat(rng.normal(size=(40, 3)), 7, axis=0)[rng.permutation(280)]
     _assert_knn_matches_oracle(pts, rng.choice(280, size=9, replace=False), k)
@@ -135,6 +135,14 @@ def test_knn_group_matches_stable_argsort_far_from_origin(rng, k):
     # coordinates near 1e3, spread 1e-3: differences carry few digits
     pts = 1e3 + 1e-3 * rng.normal(size=(300, 3))
     _assert_knn_matches_oracle(pts, rng.choice(300, size=40, replace=False), k)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_knn_group_matches_stable_argsort_when_distances_overflow(rng):
+    # coordinates near 1e200, spread 1e197: every squared distance but a
+    # point's own is inf, and cKDTree returns no candidate past the first
+    pts = 1e200 * (1 + 1e-3 * rng.normal(size=(60, 3)))
+    _assert_knn_matches_oracle(pts, rng.choice(60, size=10, replace=False), 5)
 
 
 @pytest.mark.parametrize("k", [1, 5])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import brute_chamfer, brute_hausdorff, dense_d2
+from conftest import (brute_chamfer, brute_hausdorff, composed_report, dense_d2,
+                      translated_shapes)
 from pointdiff import geometry, metrics
 from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import PointCloud
@@ -169,33 +170,23 @@ def test_evaluate_and_csv(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# evaluate reads one pair table; it must equal the public functions composed
+# evaluate, mmd_cd and one_nn_cd prune pairs; they must equal the one-pair
+# public functions composed over every pair, bitwise
 
 
-def _composed(gen, ref, ids):
-    """What evaluate reports, rebuilt from the public single-metric calls."""
-    hd = float(np.mean([min(metrics.hausdorff(g, r) for r in ref) for g in gen]))
-    per_item = []
-    if len(gen) == len(ref):
-        per_item = [(i, metrics.chamfer_l2(g, r), metrics.hausdorff(g, r))
-                    for i, g, r in zip(ids, gen, ref)]
-    return dict(mmd_cd=metrics.mmd_cd(gen, ref), one_nn_cd=metrics.one_nn_cd(gen, ref),
-                jsd=metrics.jsd(gen, ref), hd=hd, per_item=per_item)
-
-
-def _loop_mmd_cd(gen, ref):
-    # reference: the definition as a loop over chamfer_l2, summed into a float
-    total = 0.0
-    for r in ref:
-        total += min(metrics.chamfer_l2(g, r) for g in gen)
-    return total / len(ref)
-
-
-def _loop_one_nn_cd(gen, ref):
-    total = 0.0
-    for g in gen:
-        total += min(metrics.chamfer_l2(g, r) for r in ref)
-    return total / len(gen)
+def _assert_equals_composed(gen, ref, ids=None):
+    report = metrics.evaluate(gen, ref, ids=ids)
+    want = composed_report(gen, ref, ids)
+    for name in ("mmd_cd", "one_nn_cd", "jsd", "hd"):
+        assert type(getattr(report, name)) is float, name
+        assert getattr(report, name) == want.__dict__[name], name
+    assert report.per_item == want.per_item
+    for _, cd, hd in report.per_item:
+        assert type(cd) is float and type(hd) is float
+    for fn in (metrics.mmd_cd, metrics.one_nn_cd):
+        value = fn(gen, ref)
+        assert type(value) is float and value == want.__dict__[fn.__name__], fn.__name__
+    return report
 
 
 @pytest.mark.parametrize("sizes", [
@@ -210,20 +201,80 @@ def test_evaluate_equals_composed_public_functions(rng, sizes, n_gen, n_ref):
            for _ in range(n_gen)]
     ref = [PointCloud(rng.uniform(-0.45, 0.45, size=(int(rng.integers(*ref_sizes)), 3)))
            for _ in range(n_ref)]
-    ids = [f"item{i}" for i in range(n_gen)]
-    report = metrics.evaluate(gen, ref, ids=ids)
-    want = _composed(gen, ref, ids)
-    for name in ("mmd_cd", "one_nn_cd", "jsd", "hd"):
-        assert type(getattr(report, name)) is float, name
-        assert getattr(report, name) == want[name], name
-    assert report.per_item == want["per_item"]
+    report = _assert_equals_composed(gen, ref, ids=[f"item{i}" for i in range(n_gen)])
     assert len(report.per_item) == (n_gen if n_gen == n_ref else 0)
-    for _, cd, hd in report.per_item:
-        assert type(cd) is float and type(hd) is float
-    # the set metrics sum the minima one by one, as a Python float
-    assert want["mmd_cd"] == _loop_mmd_cd(gen, ref)
-    assert want["one_nn_cd"] == _loop_one_nn_cd(gen, ref)
-    assert type(want["mmd_cd"]) is float and type(want["one_nn_cd"]) is float
+
+
+def _near(rng, clouds, scale):
+    return [c + scale * rng.normal(size=c.shape) for c in clouds]
+
+
+def _huge(rng, n):
+    # coordinates near 1e200, spread 1e197: every squared distance overflows
+    return 1e200 * (1 + 1e-3 * rng.normal(size=(n, 3)))
+
+
+def _paired(rng):
+    # each reference near its generated cloud, so some pairs are pruned
+    gen = [rng.uniform(-0.45, 0.45, size=(200 + 7 * i, 3)) for i in range(4)]
+    return gen, _near(rng, gen, 0.01)
+
+
+def _identical(rng):
+    cloud = rng.uniform(-0.45, 0.45, size=(120, 3))
+    return [cloud] * 3, [cloud.copy() for _ in range(3)]
+
+
+_PRUNING_CASES = {
+    "paired": _paired,
+    "unpaired-3x5": lambda rng: (translated_shapes((150, 160, 170, 180), 1)[:3],
+                                 _near(rng, translated_shapes((190, 200, 210, 220), 5), 0.01)
+                                 + [rng.uniform(-0.45, 0.45, size=(90, 3))]),
+    "unpaired-4x2": lambda rng: (translated_shapes((150, 160, 170, 180), 1),
+                                 translated_shapes((190, 200, 210, 220), 5)[2:]),
+    "identical": _identical,
+    "overflow": lambda rng: ([_huge(rng, 60), 0.1 * rng.normal(size=(70, 3)), _huge(rng, 80)],
+                             [_huge(rng, 50), 0.1 * rng.normal(size=(40, 3)), _huge(rng, 90)]),
+}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                                        "ignore:invalid:RuntimeWarning"))
+    for case in _PRUNING_CASES])
+def test_pruned_metrics_equal_composed_public_functions(rng, monkeypatch, nn_searches, case):
+    gen, ref = _PRUNING_CASES[case](rng)
+    if case == "overflow":
+        # jsd takes only [-0.5, 0.5]^3; the distances are what is under test
+        monkeypatch.setattr(metrics, "jsd", lambda *args: 0.0)
+    report = _assert_equals_composed(gen, ref)
+    if case == "overflow":
+        assert np.isinf(report.mmd_cd) and np.isinf(report.hd)
+        assert np.isfinite(report.per_item[1][1])
+    nn_searches.clear()
+    metrics.evaluate(gen, ref)
+    if case in ("identical", "overflow"):
+        # identical clouds tie on every pair, and an overflowing pair (or one
+        # of a row or column whose minimum overflows) cannot exceed inf:
+        # none is pruned
+        assert len(nn_searches) == 2 * len(gen) * len(ref)
+    else:
+        assert len(nn_searches) < 2 * len(gen) * len(ref)
+
+
+def test_pruning_skips_every_off_diagonal_second_search(nn_searches):
+    # gen and ref sizes all differ, so each call names its pair and direction
+    gen = translated_shapes((300, 310, 320, 330), seed=1)
+    ref = translated_shapes((305, 315, 325, 335), seed=5)
+    metrics.evaluate(gen, ref)
+    calls = list(nn_searches)
+    diagonal = [(len(r), len(g)) for g, r in zip(gen, ref)] + [(len(g), len(r))
+                                                                for g, r in zip(gen, ref)]
+    assert sorted(c for c in calls if c in diagonal) == sorted(diagonal)
+    off = sorted(c for c in calls if c not in diagonal)
+    # one search per off-diagonal pair, in the direction with fewer query rows
+    assert off == sorted((max(len(g), len(r)), min(len(g), len(r)))
+                         for i, g in enumerate(gen) for j, r in enumerate(ref) if i != j)
 
 
 def test_evaluate_builds_each_tree_once(rng, monkeypatch):
@@ -237,8 +288,16 @@ def test_evaluate_builds_each_tree_once(rng, monkeypatch):
     gen = [rng.uniform(-0.45, 0.45, size=(300 + i, 3)) for i in range(3)]
     ref = [rng.uniform(-0.45, 0.45, size=(400 + i, 3)) for i in range(3)]
     metrics.evaluate(gen, ref)
-    # 9 pairs searched both ways; one tree per cloud
+    # 3 diagonal pairs searched both ways, the other 6 one or both ways;
+    # one tree per cloud
     assert sorted(built) == [300, 301, 302, 400, 401, 402]
+
+
+@pytest.mark.parametrize("ids", [["a"], ["a", "b", "c", "d"]])
+def test_evaluate_rejects_ids_of_the_wrong_length(rng, ids):
+    gen = bounded_clouds(rng, 3)
+    with pytest.raises(InvalidArgument, match="ids"):
+        metrics.evaluate(gen, [c.copy() for c in gen], ids=ids)
 
 
 @pytest.mark.parametrize("fn", [metrics.evaluate, metrics.mmd_cd, metrics.one_nn_cd, metrics.jsd])
@@ -279,10 +338,13 @@ _EDGE_CASES = {
     "two-distinct-points": lambda rng: (rng.normal(size=(50, 3)),
                                         np.repeat(rng.normal(size=(2, 3)), [5, 30], axis=0)),
     "single-points": lambda rng: (rng.normal(size=(1, 3)), rng.normal(size=(1, 3))),
+    # every distance overflows to inf: cKDTree finds no candidate at all
+    "overflow-1e200": lambda rng: (_huge(rng, 60), _huge(rng, 70)),
 }
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_chamfer_and_hausdorff_exact_at_the_edges(rng, case):
     a, b = _EDGE_CASES[case](rng)
     for x, y in ((a, b), (b, a)):
@@ -304,6 +366,26 @@ def test_nearest_sq_dists_dense_rows_are_only_those_the_bound_rejects(rng):
         d = geometry.nearest_sq_dists(geometry.nearest_tree(gens), ref)
     assert np.array_equal(np.concatenate([c.args[0] for c in exact.call_args_list]), tied)
     assert np.array_equal(d, dense_d2(ref, gens).min(axis=1))
+
+
+def test_nearest_tree_key_collisions_change_no_value(rng, monkeypatch):
+    # when every key collides, copies meet only where the argsort of equal
+    # keys happens to put them side by side; the others stay in the tree and
+    # tie as candidates, so rows go dense, and no value changes
+    pts = np.tile(_quantized(rng, 300), (3, 1))[rng.permutation(900)]
+    queries = np.concatenate([rng.uniform(-0.5, 0.5, size=(400, 3)), pts[:50]])
+    want = geometry.nearest_sq_dists(geometry.nearest_tree(pts), queries)
+    scores = metrics.chamfer_l2(queries, pts), metrics.hausdorff(queries, pts)
+    assert geometry.nearest_tree(pts).n == len(np.unique(pts, axis=0))
+    monkeypatch.setattr(geometry, "_copy_key", lambda p: np.zeros(len(p), dtype=np.uint64))
+    d = geometry.nearest_sq_dists(geometry.nearest_tree(pts), queries)
+    assert np.array_equal(d, want) and np.array_equal(d, dense_d2(queries, pts).min(axis=1))
+    assert (metrics.chamfer_l2(queries, pts), metrics.hausdorff(queries, pts)) == scores
+
+
+def test_nearest_tree_counts_signed_zeros_as_copies():
+    pts = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    assert geometry.nearest_tree(pts).n == 2
 
 
 _NON_FINITE = {

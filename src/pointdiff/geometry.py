@@ -292,12 +292,14 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     q = min(k + _KNN_MARGIN, n)
     groups = np.empty((len(centers), k), dtype=np.intp)
     settled = np.zeros(len(centers), dtype=bool)
-    if q < n:  # at q = N every point is a candidate and the dense rows are cheaper
-        cand, d, _, settled = _tree_candidates(cKDTree(cloud.points), centers, q, k)
-        order = np.lexsort((cand, d))
-        groups[:] = np.take_along_axis(cand, order[:, :k], axis=1)
-    for i in np.flatnonzero(~settled):
-        groups[i] = np.argsort(sq_dists(centers[i : i + 1], pts)[0], kind="stable")[:k]
+    # squared distances that overflow are inf, and their rows are not settled
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q < n:  # at q = N every point is a candidate and the dense rows are cheaper
+            cand, d, _, settled = _tree_candidates(cKDTree(cloud.points), centers, q, k)
+            order = np.lexsort((cand, d))
+            groups[:] = np.take_along_axis(cand, order[:, :k], axis=1)
+        for i in np.flatnonzero(~settled):
+            groups[i] = np.argsort(sq_dists(centers[i : i + 1], pts)[0], kind="stable")[:k]
     return groups
 
 
@@ -340,13 +342,15 @@ def nearest_sq_dists(tree, queries):
     ``_NN_BLOCK_ELEMS`` elements (at q = N every row is exact either way).
     """
     nearest, settled = np.empty(len(queries)), np.empty(len(queries), dtype=bool)
-    for lo in range(0, len(queries), _NN_BLOCK_ELEMS // 8):
-        rows = slice(lo, lo + _NN_BLOCK_ELEMS // 8)
-        _, _, nearest[rows], settled[rows] = _tree_candidates(
-            tree, queries[rows], min(2, tree.n), 1)
-    dense = np.flatnonzero(~settled)
-    for r in np.array_split(dense, max(1, len(dense) * tree.n // _NN_BLOCK_ELEMS)):
-        nearest[r] = sq_dists(queries[r], tree.data).min(axis=1)
+    # squared distances that overflow are inf, and their rows are not settled
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(queries), _NN_BLOCK_ELEMS // 8):
+            rows = slice(lo, lo + _NN_BLOCK_ELEMS // 8)
+            _, _, nearest[rows], settled[rows] = _tree_candidates(
+                tree, queries[rows], min(2, tree.n), 1)
+        dense = np.flatnonzero(~settled)
+        for r in np.array_split(dense, max(1, len(dense) * tree.n // _NN_BLOCK_ELEMS)):
+            nearest[r] = sq_dists(queries[r], tree.data).min(axis=1)
     return nearest
 
 

@@ -8,6 +8,7 @@ two loss inputs: the entire assembled object or the masked region only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -21,7 +22,13 @@ import numpy as np
 from . import engine as eg
 from .engine import Tensor
 from .diffusion import NoiseSchedule, q_sample
-from .errors import CorruptCheckpoint, InvalidArgument, ShapeError, UnsupportedVersion
+from .errors import (
+    CorruptCheckpoint,
+    InvalidArgument,
+    PointdiffError,
+    ShapeError,
+    UnsupportedVersion,
+)
 from .geometry import MaskStrategy, PointCloud, nearest_indices, segment
 from .model import (
     LatentSet,
@@ -37,6 +44,8 @@ from .model import (
 _MAGIC = b"PDCK"
 _VERSION = 1
 _MAX_NDIM = 32  # numpy 1.x's array rank limit; saved tensors have rank <= 3
+_DIGEST_BYTES = 32  # the sha256 digest that ends every file
+_CHUNK_BYTES = 1 << 16  # read size when hashing past a rejected header
 
 
 class LossSetting(Enum):
@@ -134,111 +143,185 @@ class Checkpoint:
 
 def save_checkpoint(path, model_cfg: ModelConfig, params, extra=None):
     """Serialize parameters: header, JSON config, tensor manifest, little-
-    endian float32 payload, sha256 digest.  Writes atomically."""
+    endian float32 payload, sha256 digest.
+
+    The header and then each tensor go through one incremental digest into
+    ``path.tmp``, which replaces ``path`` once complete; a failed save
+    removes it.  Beyond the parameters, memory holds one tensor's float32
+    copy.
+    """
     names = sorted(params)
-    meta = {"model": model_cfg.to_dict(), "extra": extra or {}}
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
-
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<I", len(meta_bytes))
-    out += meta_bytes
-    out += struct.pack("<I", len(names))
-    for name in names:
-        data = params[name].data if isinstance(params[name], Tensor) else params[name]
-        nb = name.encode()
-        out += struct.pack("<I", len(nb))
-        out += nb
-        out += struct.pack("<I", data.ndim)
-        out += struct.pack(f"<{data.ndim}I", *data.shape)
-    for name in names:
-        data = params[name].data if isinstance(params[name], Tensor) else params[name]
-        out += np.ascontiguousarray(data, dtype="<f4").tobytes()
-    out += hashlib.sha256(bytes(out)).digest()
-
+    arrays = [params[n].data if isinstance(params[n], Tensor) else params[n] for n in names]
+    meta_bytes = json.dumps({"model": model_cfg.to_dict(), "extra": extra or {}},
+                            sort_keys=True).encode()
+    digest = hashlib.sha256()
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(out))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            def write(chunk):
+                digest.update(chunk)
+                fh.write(chunk)
+
+            write(_MAGIC + struct.pack("<II", _VERSION, len(meta_bytes)) + meta_bytes
+                  + struct.pack("<I", len(names)))
+            for name, data in zip(names, arrays):
+                nb = name.encode()
+                write(struct.pack("<I", len(nb)) + nb
+                      + struct.pack(f"<I{data.ndim}I", data.ndim, *data.shape))
+            for data in arrays:
+                write(np.ascontiguousarray(data, dtype="<f4"))
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
-def load_checkpoint(path) -> Checkpoint:
+class _HashedBody:
+    """The body of an open checkpoint file, that is all of it but the
+    trailing digest, read front to back once.  Each read is checked against
+    the body's size before anything is allocated, and every byte read goes
+    into one incremental sha256."""
+
+    def __init__(self, fh, path):
+        size = os.fstat(fh.fileno()).st_size
+        self.fh, self.path, self.size, self.off = fh, path, size - _DIGEST_BYTES, 0
+        self.sha = hashlib.sha256()
+        if size < 12 + _DIGEST_BYTES or self.take(4) != _MAGIC:
+            raise CorruptCheckpoint(f"{path}: not a checkpoint file")
+
+    def _claim(self, n):
+        if n > self.size - self.off:
+            raise CorruptCheckpoint(f"{self.path}: {n} bytes at offset {self.off} run past the body")
+        self.off += n
+
+    def _fill(self, buf):
+        if self.fh.readinto(buf) != len(buf):
+            raise CorruptCheckpoint(f"{self.path}: file shrank while it was read")
+        self.sha.update(buf)
+        return buf
+
+    def take(self, n):
+        self._claim(n)
+        return self._fill(bytearray(n))
+
+    def u32(self):
+        return struct.unpack("<I", self.take(4))[0]
+
+    def array(self, shape):
+        """The next stored tensor, read into its own ``<f4`` array."""
+        self._claim(4 * math.prod(shape))
+        out = np.empty(shape, dtype="<f4")
+        self._fill(out.reshape(-1).view(np.uint8))
+        return out
+
+    def verify(self):
+        """Hash the rest of the body, then compare the stored digest."""
+        buf = memoryview(bytearray(min(_CHUNK_BYTES, self.size - self.off)))
+        while self.off < self.size:
+            n = min(len(buf), self.size - self.off)
+            self._claim(n)
+            self._fill(buf[:n])
+        if self.fh.read(_DIGEST_BYTES) != self.sha.digest():
+            raise CorruptCheckpoint(f"{self.path}: digest mismatch")
+
+
+@contextlib.contextmanager
+def _checkpoint_body(path):
+    """The checkpoint at ``path`` as a ``_HashedBody``.  The digest is
+    compared when the block ends, and also before any ``PointdiffError``
+    raised in it propagates: a damaged file that was not re-signed always
+    reads as a digest mismatch, whatever its header says."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 44 or raw[:4] != _MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a checkpoint file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptCheckpoint(f"{path}: digest mismatch")
-    off = 4
+        body = _HashedBody(fh, path)
+        try:
+            yield body
+        except PointdiffError:
+            body.verify()
+            raise
+        body.verify()
 
-    def take(n):
-        # every length field is checked against the body before it is read
-        nonlocal off
-        if off + n > len(body):
-            raise CorruptCheckpoint(f"{path}: {n} bytes at offset {off} run past the body")
-        off += n
-        return body[off - n : off]
 
-    def u32():
-        return struct.unpack("<I", take(4))[0]
-
-    version = u32()
+def _read_header(body):
+    """Metadata and ``(name, shape)`` manifest, with the manifest's payload
+    checked to fill the rest of the body exactly."""
+    path = body.path
+    version = body.u32()
     if version != _VERSION:
         raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
     try:
-        meta = json.loads(take(u32()))
+        meta = json.loads(body.take(body.u32()))
         manifest = []
-        for _ in range(u32()):
-            name = take(u32()).decode()
-            ndim = u32()
+        for _ in range(body.u32()):
+            name = body.take(body.u32()).decode()
+            ndim = body.u32()
             if ndim > _MAX_NDIM:
                 raise CorruptCheckpoint(f"{path}: tensor {name!r} has rank {ndim}")
-            manifest.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
+            manifest.append((name, struct.unpack(f"<{ndim}I", body.take(4 * ndim))))
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, a non-UTF-8 name
         raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from exc
     if not (isinstance(meta, dict) and isinstance(meta.get("model"), dict)
             and isinstance(meta.get("extra", {}), dict)):
         raise CorruptCheckpoint(f"{path}: metadata lacks a model config")
-    tensors = {}
-    for name, shape in manifest:
-        data = take(4 * math.prod(shape))
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-    if off != len(body):
-        raise CorruptCheckpoint(f"{path}: {len(body) - off} trailing bytes")
+    payload, left = 4 * sum(math.prod(shape) for _, shape in manifest), body.size - body.off
+    if payload != left:
+        raise CorruptCheckpoint(f"{path}: manifest declares {payload} tensor bytes, body holds {left}")
+    return meta, manifest
+
+
+def load_checkpoint(path) -> Checkpoint:
+    with _checkpoint_body(path) as body:
+        meta, manifest = _read_header(body)
+        tensors = {name: body.array(shape) for name, shape in manifest}
     return Checkpoint(config=meta["model"], tensors=tensors, extra=meta.get("extra", {}))
 
 
 def load_model(path) -> Model:
-    """Rebuild a Model from a checkpoint, validating the config and the
-    tensor shapes before any parameter is allocated."""
-    ckpt = load_checkpoint(path)
-    try:
-        cfg = ModelConfig.from_dict(ckpt.config)
-        return Model(cfg=cfg, params=params_from_tensors(cfg, ckpt.tensors))
-    except InvalidArgument as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+    """Rebuild a Model from a checkpoint in one pass over the file.
+
+    The config and the manifest's names and shapes are checked against
+    ``model.param_layout`` before any tensor is read, and each tensor is
+    converted to the active dtype as it is read, so peak memory is the
+    model plus one stored tensor.
+    """
+    with _checkpoint_body(path) as body:
+        meta, manifest = _read_header(body)
+        try:
+            cfg = ModelConfig.from_dict(meta["model"])
+            layout = _check_layout(cfg, manifest)
+        except InvalidArgument as exc:
+            raise CorruptCheckpoint(f"{path}: {exc}") from exc
+        params = {name: eg.parameter(body.array(shape), name=name) for name, shape in manifest}
+    return Model(cfg=cfg, params={name: params[name] for name in layout})
+
+
+def _check_layout(cfg: ModelConfig, stored):
+    """The parameter names of ``cfg`` (``model.param_layout``) in order,
+    each checked against the stored ``(name, shape)`` pairs.
+
+    The check stops at the first tensor the file lacks, so its work is
+    bounded by the file and not by the size the config claims.
+    """
+    shapes = dict(stored)
+    layout = []
+    for name, shape in param_layout(cfg):
+        if name not in shapes:
+            raise InvalidArgument(f"checkpoint missing tensor {name!r}")
+        if tuple(shapes[name]) != shape:
+            raise InvalidArgument(
+                f"tensor {name!r}: checkpoint shape {shapes[name]} "
+                f"does not match model shape {shape}"
+            )
+        layout.append(name)
+    return layout
 
 
 def params_from_tensors(cfg: ModelConfig, tensors):
     """The parameter dict of ``cfg`` (``model.param_layout``) holding the
-    stored ``tensors`` in the active dtype.
-
-    Every name and shape is checked before any parameter is made, and the
-    check stops at the first tensor the file lacks, so its work is bounded
-    by the file and not by the size the config claims.
-    """
-    layout = []
-    for name, shape in param_layout(cfg):
-        if name not in tensors:
-            raise InvalidArgument(f"checkpoint missing tensor {name!r}")
-        if tuple(tensors[name].shape) != shape:
-            raise InvalidArgument(
-                f"tensor {name!r}: checkpoint shape {tensors[name].shape} "
-                f"does not match model shape {shape}"
-            )
-        layout.append(name)
+    stored ``tensors`` in the active dtype; every name and shape is checked
+    (``_check_layout``) before any parameter is made."""
+    layout = _check_layout(cfg, ((name, t.shape) for name, t in tensors.items()))
     return {name: eg.parameter(tensors[name], name=name) for name in layout}
 
 

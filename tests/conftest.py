@@ -40,7 +40,8 @@ def rng():
 
 
 def dense_d2(a, b):
-    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
 
 
 def brute_chamfer(a, b):

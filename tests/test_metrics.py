@@ -238,10 +238,7 @@ _PRUNING_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                                        "ignore:invalid:RuntimeWarning"))
-    for case in _PRUNING_CASES])
+@pytest.mark.parametrize("case", list(_PRUNING_CASES))
 def test_pruned_metrics_equal_composed_public_functions(rng, monkeypatch, nn_searches, case):
     gen, ref = _PRUNING_CASES[case](rng)
     if case == "overflow":
@@ -344,7 +341,6 @@ _EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_chamfer_and_hausdorff_exact_at_the_edges(rng, case):
     a, b = _EDGE_CASES[case](rng)
     for x, y in ((a, b), (b, a)):

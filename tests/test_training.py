@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,102 @@ def test_load_model_work_is_bounded_by_the_file(tmp_path, monkeypatch):
         got = reloaded.params[name]
         assert got.requires_grad and got.name == name and got.data.dtype == param.data.dtype
         assert np.array_equal(got.data, param.data.astype(np.float32).astype(param.data.dtype))
+
+
+def _reference_v1(cfg, params, extra):
+    """The v1 file spelled out: magic, version, JSON metadata, manifest of
+    (name, rank, shape), every tensor as little-endian float32 in name order,
+    then the sha256 of all that."""
+    names = sorted(params)
+    meta = json.dumps({"model": cfg.to_dict(), "extra": extra}, sort_keys=True).encode()
+    body = b"PDCK" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", len(names))
+    for name in names:
+        shape = params[name].data.shape
+        body += struct.pack("<I", len(name.encode())) + name.encode()
+        body += struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+    for name in names:
+        body += params[name].data.astype("<f4").tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_checkpoint_file_is_the_v1_format_byte_for_byte(tmp_path, bits):
+    cfg = toy_config()
+    with eg.precision(bits):
+        model = Model.create(cfg, seed=4)
+        training.save_checkpoint(tmp_path / "m.ckpt", cfg, model.params, extra={"note": "x"})
+    assert (tmp_path / "m.ckpt").read_bytes() == _reference_v1(cfg, model.params, {"note": "x"})
+
+
+def _traced_peak(fn):
+    """What ``fn()`` returned, or the library error it raised, and the most
+    memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            outcome = fn()
+        except PointdiffError as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_hold_the_model_plus_one_tensor(tmp_path):
+    cfg = toy_config(latent_width=64, enc_blocks=2, dec_blocks=2)
+    model = Model.create(cfg, seed=1)
+    sizes = [p.data.size for p in model.params.values()]
+    path = tmp_path / "m.ckpt"
+    _, save_peak = _traced_peak(lambda: training.save_checkpoint(path, cfg, model.params))
+    header = path.stat().st_size - 32 - 4 * sum(sizes)
+    # the bound is below one copy of the whole payload
+    assert save_peak <= 4 * max(sizes) + header + 64 * 1024 < 4 * sum(sizes)
+
+    reloaded, load_peak = _traced_peak(lambda: training.load_model(path))
+    assert load_peak <= 8 * sum(sizes) + 4 * max(sizes) + 64 * 1024
+    for name, param in model.params.items():
+        assert np.array_equal(reloaded.params[name].data,
+                              param.data.astype(np.float32).astype(np.float64))
+
+
+def test_unsigned_damage_to_the_version_reads_as_digest_mismatch(tmp_path):
+    path = tmp_path / "m.ckpt"
+    training.save_checkpoint(path, toy_config(), Model.create(toy_config(), seed=1).params)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 999)  # the digest still signs version 1
+    path.write_bytes(bytes(raw))
+    for load in (training.load_checkpoint, training.load_model):
+        with pytest.raises(CorruptCheckpoint, match="digest mismatch"):
+            load(path)
+
+
+def test_tensor_larger_than_the_file_is_rejected_before_allocation(tmp_path):
+    body = _saved_body(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", body, 8)
+    (name_len,) = struct.unpack_from("<I", body, 16 + meta_len)
+    first_dim = 16 + meta_len + 4 + name_len + 4
+    body[first_dim : first_dim + 4] = struct.pack("<I", 2**31)  # an 8+ GiB tensor
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(_resign(body))
+    for load in (training.load_checkpoint, training.load_model):
+        err, peak = _traced_peak(lambda: load(path))
+        assert isinstance(err, CorruptCheckpoint)
+        assert peak < 1 << 20
+
+
+def test_failed_save_leaves_no_tmp_file(tmp_path):
+    cfg = toy_config()
+    params = dict(Model.create(cfg, seed=1).params)
+    path = tmp_path / "m.ckpt"
+    training.save_checkpoint(path, cfg, params)
+    saved = path.read_bytes()
+    params["zz.unconvertible"] = np.array(["not a number"])  # written last, after the header
+    with pytest.raises(ValueError):
+        training.save_checkpoint(path, cfg, params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+    assert path.read_bytes() == saved
 
 
 def test_pretrain_encoder_loss_decreases():

@@ -20,7 +20,8 @@ print("first three centers:\n", np.round(ps.centers[:3], 3))
 
 for strategy in ("random", "block"):
     mask = apply_mask(G, 0.75, strategy, rng_seed=7, centers=ps.centers)
-    visible = assemble(ps, ~mask.indicator)
+    vis = mask.visible_indices
+    visible = assemble(ps.centers[vis], ps.patches[vis])
     out = f"demo_torus_visible_{strategy}.ply"
     data_io.save_cloud(visible, out)
     print(f"{strategy:>6}: masked {mask.masked_indices.size}/{G} patches; "

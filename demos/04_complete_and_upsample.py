@@ -24,7 +24,8 @@ schedule = diffusion.build_schedule(cfg.timesteps)
 cloud = data_io.synth_shape("cylinder", 512, seed=4)
 ps = segment(cloud, cfg.num_groups, cfg.group_size)
 mask = apply_mask(cfg.num_groups, cfg.mask_ratio, "block", 2, centers=ps.centers)
-partial = assemble(ps, ~mask.indicator)
+vis = mask.visible_indices
+partial = assemble(ps.centers[vis], ps.patches[vis])
 print(f"partial input: {len(partial)} of {len(cloud)} points "
       f"({mask.masked_indices.size} patches missing)")
 

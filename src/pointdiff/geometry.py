@@ -63,8 +63,6 @@ class MaskSpec:
     """Boolean masked/visible partition of the patch index range."""
 
     indicator: np.ndarray  # (G,) bool, True = masked
-    ratio: float
-    strategy: MaskStrategy
 
     @property
     def num_groups(self):
@@ -81,18 +79,17 @@ class MaskSpec:
 
 @dataclass(frozen=True)
 class PatchSet:
-    """G patches of group_size points each, stored relative to their center."""
+    """G patches of n points each, stored relative to their center."""
 
     centers: np.ndarray  # (G, 3)
-    patches: np.ndarray  # (G, group_size, 3), center-relative
-    group_size: int
+    patches: np.ndarray  # (G, n, 3), center-relative
 
     @property
     def num_groups(self):
         return self.centers.shape[0]
 
     def absolute(self, indices=None):
-        """Patch points in world coordinates, (k, group_size, 3)."""
+        """Patch points in world coordinates, (k, n, 3)."""
         if indices is None:
             return self.patches + self.centers[:, None, :]
         indices = np.asarray(indices)
@@ -137,7 +134,9 @@ def nearest_indices(a, b):
     b -> a search is the same row search on ``sq_dists(b, a)``, which is
     bitwise the transpose because ``b - a`` is exactly ``-(a - b)``.
     """
-    return _nearest_rows(a, b), _nearest_rows(b, a)
+    # squared distances that overflow are inf, and their rows are rechecked
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _nearest_rows(a, b), _nearest_rows(b, a)
 
 
 def _nearest_rows(a, b):
@@ -222,11 +221,13 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     buf = tuple(np.empty((2, n, 1)))
     selected = np.empty(k, dtype=np.int64)
     selected[0] = seed_index
-    min_d2 = sq_dists(pts, pts[seed_index : seed_index + 1])[:, 0]
-    for i in range(1, k):
-        nxt = int(np.argmax(min_d2))  # argmax takes the first (lowest) index on ties
-        selected[i] = nxt
-        np.minimum(min_d2, sq_dists(pts, pts[nxt : nxt + 1], out=buf)[:, 0], out=min_d2)
+    # squared distances that overflow are inf, which argmax and minimum order
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_d2 = sq_dists(pts, pts[seed_index : seed_index + 1])[:, 0]
+        for i in range(1, k):
+            nxt = int(np.argmax(min_d2))  # argmax takes the first (lowest) index on ties
+            selected[i] = nxt
+            np.minimum(min_d2, sq_dists(pts, pts[nxt : nxt + 1], out=buf)[:, 0], out=min_d2)
     return selected
 
 
@@ -362,7 +363,7 @@ def segment(cloud: PointCloud, num_groups: int, group_size: int) -> PatchSet:
     centers = cloud.points[center_idx]
     groups = knn_group(cloud, centers, group_size)
     patches = cloud.points[groups] - centers[:, None, :]
-    return PatchSet(centers=centers, patches=patches, group_size=group_size)
+    return PatchSet(centers=centers, patches=patches)
 
 
 def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
@@ -393,40 +394,22 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
         start = int(rng.integers(num_groups))
         chain = [start]
         remaining = set(range(num_groups)) - {start}
-        while len(chain) < m:
-            cur = centers[chain[-1]]
-            cand = sorted(remaining)
-            d2 = sq_dists(centers[cand], cur[None])[:, 0]
-            nxt = cand[int(np.argmin(d2))]
-            chain.append(nxt)
-            remaining.discard(nxt)
+        # squared distances that overflow are inf, which argmin orders
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(chain) < m:
+                cur = centers[chain[-1]]
+                cand = sorted(remaining)
+                d2 = sq_dists(centers[cand], cur[None])[:, 0]
+                nxt = cand[int(np.argmin(d2))]
+                chain.append(nxt)
+                remaining.discard(nxt)
         indicator[chain] = True
-    return MaskSpec(indicator=indicator, ratio=float(ratio), strategy=strategy)
+    return MaskSpec(indicator=indicator)
 
 
-def assemble(patchset: PatchSet, subset, override_points=None) -> PointCloud:
-    """Concatenate selected patches back into a cloud (center + offsets).
-
-    ``subset`` is a G-length boolean mask choosing patches.  When
-    ``override_points`` is given it must hold one (n_i, 3) array per selected
-    patch (center-relative) replacing the stored offsets.
-    """
-    subset = np.asarray(subset, dtype=bool)
-    if subset.shape[0] != patchset.num_groups:
-        raise InvalidArgument(
-            f"subset length {subset.shape[0]} != patch count {patchset.num_groups}"
-        )
-    sel = np.flatnonzero(subset)
-    if override_points is not None and len(override_points) != sel.size:
-        raise InvalidArgument(
-            f"override holds {len(override_points)} patches, expected {sel.size}"
-        )
-    blocks = []
-    for j, i in enumerate(sel):
-        rel = patchset.patches[i]
-        if override_points is not None and override_points[j] is not None:
-            rel = np.asarray(override_points[j])
-        if rel.ndim != 2 or rel.shape[1] != 3:
-            raise InvalidArgument(f"override patch {j} has shape {rel.shape}, expected (n, 3)")
-        blocks.append(rel + patchset.centers[i])
-    return PointCloud(np.concatenate(blocks, axis=0))
+def assemble(centers, blocks) -> PointCloud:
+    """The cloud of center-relative ``blocks``, one (n_i, 3) array per row
+    of ``centers``, each put back at its center, in order."""
+    if len(blocks) != len(centers):
+        raise InvalidArgument(f"{len(blocks)} blocks for {len(centers)} centers")
+    return PointCloud(np.concatenate([b + c for b, c in zip(blocks, centers)]))

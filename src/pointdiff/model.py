@@ -22,7 +22,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Tensor
 from .errors import InvalidArgument, ShapeError
-from .geometry import MaskSpec, PointCloud, apply_mask, segment
+from .geometry import MaskSpec, apply_mask
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,7 @@ def transformer_block(params, x, prefix, heads):
 
 def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
     """Encoder core on explicit visible patches, (B, V, group_size, 3) with
-    their (B, V, 3) centers; returns (B, V, L) tokens.  The compression
-    path uses this directly, bypassing segmentation."""
+    their (B, V, 3) centers; returns (B, V, L) tokens."""
     tokens = token_embed(params, vis_patches, cfg)
     if cfg.use_position_embedding:
         tokens = eg.add(tokens, pos_embed(params, vis_centers, "enc.pos"))
@@ -243,12 +242,12 @@ def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
     return _ln(params, "enc.final_ln", tokens)
 
 
-def encode(params, cloud: PointCloud, mask: MaskSpec, cfg: ModelConfig) -> LatentSet:
-    """Segment the cloud and encode its visible patches: a batch of one."""
-    patchset = segment(cloud, cfg.num_groups, cfg.group_size)
-    vis = mask.visible_indices
-    tokens = encode_patches(params, patchset.patches[vis][None], patchset.centers[vis][None], cfg)
-    return LatentSet(tokens=tokens, centers=patchset.centers[None], masks=(mask,))
+def encode(params, centers, visible, mask: MaskSpec, cfg: ModelConfig) -> LatentSet:
+    """Encode one cloud's visible patches, a batch of one: ``centers`` holds
+    all G patch centers, ``visible`` the (V, group_size, 3) center-relative
+    blocks of ``mask.visible_indices``, in that order."""
+    tokens = encode_patches(params, visible[None], centers[mask.visible_indices][None], cfg)
+    return LatentSet(tokens=tokens, centers=centers[None], masks=(mask,))
 
 
 def encoder_pretrain_head(params, tokens, cfg: ModelConfig):
@@ -357,8 +356,8 @@ class Model:
     def create(cls, cfg: ModelConfig, seed=0):
         return cls(cfg=cfg, params=init_params(cfg, seed))
 
-    def encode(self, cloud, mask):
-        return encode(self.params, cloud, mask, self.cfg)
+    def encode(self, centers, visible, mask):
+        return encode(self.params, centers, visible, mask, self.cfg)
 
     def decode(self, latent, x_t, t):
         return decode(self.params, latent, x_t, t, self.cfg)

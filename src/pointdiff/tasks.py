@@ -17,17 +17,8 @@ import numpy as np
 from . import diffusion
 from . import engine as eg
 from .errors import CorruptBlob, InvalidArgument
-from .geometry import (
-    MaskSpec,
-    MaskStrategy,
-    PatchSet,
-    PointCloud,
-    apply_mask,
-    assemble,
-    mask_count,
-    segment,
-)
-from .model import LatentSet, Model, encode_patches, predicted_indices
+from .geometry import MaskSpec, PointCloud, apply_mask, assemble, mask_count, segment
+from .model import LatentSet, Model, predicted_indices
 
 _BLOB_MAGIC = b"DPC1"
 _BLOB_VERSION = 1
@@ -59,24 +50,25 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0, on_step=No
     return x0.reshape(shape)
 
 
-def _generate(model: Model, ps: PatchSet, mask: MaskSpec, schedule, seed,
+def _generate(model: Model, centers, visible, mask: MaskSpec, schedule, seed,
               on_step=None) -> PointCloud:
-    """Encode the visible patches of ``ps``, sample the predicted ones and
-    reassemble the cloud in patch-index order; each prediction replaces its
+    """Encode the ``visible`` center-relative blocks (``mask.visible_indices``
+    order) of the patches at ``centers`` (all G), sample the predicted ones
+    and assemble the cloud in patch-index order; each prediction replaces its
     patch.  ``on_step(t, cloud)`` sees each step's cloud, built the same way."""
-    cfg = model.cfg
-    vis = mask.visible_indices
+    blocks = [None] * len(centers)
+    for i, block in zip(mask.visible_indices, visible):
+        blocks[i] = block
+    order = predicted_indices(model.cfg, mask)
 
     def cloud_of(pred):
-        override = [None] * cfg.num_groups
-        for patch, patch_index in zip(pred, predicted_indices(cfg, mask)):
-            override[patch_index] = patch
-        return assemble(ps, np.ones(cfg.num_groups, dtype=bool), override_points=override)
+        for i, block in zip(order, pred):
+            blocks[i] = block
+        return assemble(centers, blocks)
 
     step = None if on_step is None else (lambda t, pred: on_step(t, cloud_of(pred)))
     with eg.no_grad():
-        tokens = encode_patches(model.params, ps.patches[vis][None], ps.centers[vis][None], cfg)
-        latent = LatentSet(tokens=tokens, centers=ps.centers[None], masks=(mask,))
+        latent = model.encode(centers, visible, mask)
         pred = sample_patches(model, latent, schedule, seed=seed, on_step=step)
     return cloud_of(pred)
 
@@ -88,7 +80,8 @@ def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0, mask_strategy
     cfg = model.cfg
     ps = segment(cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    return _generate(model, ps, mask, schedule, seed, on_step)
+    return _generate(model, ps.centers, ps.patches[mask.visible_indices], mask, schedule, seed,
+                     on_step)
 
 
 def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
@@ -124,14 +117,9 @@ def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
             f"masked_centers must be ({n_masked}, 3), got {masked_centers.shape}"
         )
 
-    ps = PatchSet(
-        centers=np.concatenate([vis_ps.centers, masked_centers]),
-        patches=np.concatenate([vis_ps.patches, np.zeros((n_masked, cfg.group_size, 3))]),
-        group_size=cfg.group_size,
-    )
-    mask = MaskSpec(indicator=np.arange(cfg.num_groups) >= n_visible, ratio=cfg.mask_ratio,
-                    strategy=MaskStrategy.RANDOM)
-    return _generate(model, ps, mask, schedule, seed)
+    mask = MaskSpec(indicator=np.arange(cfg.num_groups) >= n_visible)
+    return _generate(model, np.concatenate([vis_ps.centers, masked_centers]), vis_ps.patches,
+                     mask, schedule, seed)
 
 
 def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
@@ -143,7 +131,7 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
         raise InvalidArgument("upsampling requires a Config 2 model (predict_visible)")
     ps = segment(low_res_cloud, cfg.num_groups, cfg.group_size)
     mask = apply_mask(cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers)
-    return _generate(model, ps, mask, schedule, seed)
+    return _generate(model, ps.centers, ps.patches[mask.visible_indices], mask, schedule, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +258,11 @@ def decompress(raw: bytes, model: Model, schedule, seed=0) -> PointCloud:
             f"blob masks {int(blob.indicator.sum())} patches; model ratio "
             f"{cfg.mask_ratio} implies {expected_masked}"
         )
-    mask = MaskSpec(indicator=blob.indicator, ratio=cfg.mask_ratio,
-                    strategy=MaskStrategy.RANDOM)
+    mask = MaskSpec(indicator=blob.indicator)
     vis = mask.visible_indices
-    patches = np.zeros((cfg.num_groups, cfg.group_size, 3))
-    patches[vis] = (blob.visible_points.reshape(vis.size, cfg.group_size, 3)
-                    - blob.centers[vis][:, None, :])
-    ps = PatchSet(centers=blob.centers, patches=patches, group_size=cfg.group_size)
-    return _generate(model, ps, mask, schedule, seed)
+    visible = (blob.visible_points.reshape(vis.size, cfg.group_size, 3)
+               - blob.centers[vis][:, None, :])
+    return _generate(model, blob.centers, visible, mask, schedule, seed)
 
 
 def bpp(raw: bytes, original_point_count: int) -> float:

@@ -274,7 +274,7 @@ def test_criterion_08_ablation_direction(capfd, decoder_overfit):
     for i, cloud in enumerate(clouds):
         ps = segment(cloud, cfg.num_groups, cfg.group_size)
         mask = model.draw_mask(100 + i, centers=ps.centers, strategy="random")
-        latent = model.encode(cloud, mask)
+        latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
         pred = tasks.sample_patches(model, latent, schedule, seed=100 + i)
         pts = (pred + ps.centers[mask.masked_indices][:, None, :]).reshape(-1, 3)
         masked_only.append(PointCloud(pts))

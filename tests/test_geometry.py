@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import dense_d2
 from pointdiff import data_io, geometry as geo
 from pointdiff.errors import InvalidArgument
-from pointdiff.geometry import MaskStrategy, PointCloud
+from pointdiff.geometry import PointCloud
 
 
 def test_point_cloud_validation():
@@ -192,7 +192,6 @@ def test_mask_count_half_up():
 def test_apply_mask_random_properties():
     spec = geo.apply_mask(16, 0.75, "random", rng_seed=7)
     assert spec.indicator.sum() == 12
-    assert spec.strategy is MaskStrategy.RANDOM
     assert np.array_equal(np.sort(np.concatenate([spec.masked_indices, spec.visible_indices])),
                           np.arange(16))
     again = geo.apply_mask(16, 0.75, "random", rng_seed=7)
@@ -217,7 +216,7 @@ def _block_oracle(centers, m, seed):
     chain = [start]
     remaining = sorted(set(range(len(centers))) - {start})
     while len(chain) < m:
-        d2 = np.sum((centers[remaining] - centers[chain[-1]]) ** 2, axis=1)
+        d2 = dense_d2(centers[remaining], centers[chain[-1]][None])[:, 0]
         nxt = remaining[int(np.argmin(d2))]
         chain.append(nxt)
         remaining.remove(nxt)
@@ -244,23 +243,24 @@ def test_apply_mask_degenerate_ratio():
 
 def test_assemble_round_trip(sphere_cloud):
     ps = geo.segment(sphere_cloud, 8, 16)
-    out = geo.assemble(ps, np.ones(8, dtype=bool))
+    out = geo.assemble(ps.centers, ps.patches)
     assert np.array_equal(out.points, ps.absolute().reshape(-1, 3))
 
 
 def test_assemble_with_overrides(sphere_cloud):
     ps = geo.segment(sphere_cloud, 4, 8)
-    override = [None, np.zeros((5, 3)), None, np.ones((2, 3))]
-    out = geo.assemble(ps, np.ones(4, dtype=bool), override_points=override)
+    blocks = [ps.patches[0], np.zeros((5, 3)), ps.patches[2], np.ones((2, 3))]
+    out = geo.assemble(ps.centers, blocks)
     assert len(out) == 8 + 5 + 8 + 2
-    # overridden blocks land at their centers
+    # blocks of any size land at their centers, in order
+    assert np.array_equal(out.points[:8], ps.absolute([0])[0])
     assert np.allclose(out.points[8:13], ps.centers[1])
 
 
 def test_assemble_override_count_mismatch(sphere_cloud):
     ps = geo.segment(sphere_cloud, 4, 8)
     with pytest.raises(InvalidArgument):
-        geo.assemble(ps, np.ones(4, dtype=bool), override_points=[None])
+        geo.assemble(ps.centers, ps.patches[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +391,48 @@ def test_nearest_indices_rechecks_only_ambiguous_rows(rng):
     assert [len(call.args[0]) for call in exact.call_args_list] == [1, 1]
     assert np.array_equal(a_to_b, dense_d2(a, b).argmin(axis=1))
     assert a_to_b[1] == a_to_b[4] == 3
+
+
+# ---------------------------------------------------------------------------
+# clouds whose squared distances overflow: each path equals the dense
+# definition, in which a square past the float range is inf, and warns nothing
+
+_OVERFLOW_CLOUDS = {
+    # near 1e200, spread 1e197: every squared distance but a point's own is inf
+    "1e200": lambda rng: 1e200 * (1 + 1e-3 * rng.normal(size=(300, 3))),
+    # spread 1e154: some squared distances are finite, others inf
+    "1e154": lambda rng: 1e154 * rng.normal(size=(300, 3)),
+}
+
+
+def _fps_oracle(pts, k):
+    chosen = [0]
+    min_d2 = dense_d2(pts, pts[:1])[:, 0]
+    for _ in range(k - 1):
+        chosen.append(int(np.argmax(min_d2)))
+        min_d2 = np.minimum(min_d2, dense_d2(pts, pts[chosen[-1:]])[:, 0])
+    return chosen
+
+
+@pytest.mark.parametrize("scale", list(_OVERFLOW_CLOUDS))
+def test_fps_and_segment_match_dense_oracle_when_distances_overflow(rng, scale):
+    pts = _OVERFLOW_CLOUDS[scale](rng)
+    chosen = _fps_oracle(pts, 16)
+    assert geo.fps(PointCloud(pts), 16).tolist() == chosen
+    ps = geo.segment(PointCloud(pts), 16, 8)
+    centers = pts[chosen]
+    assert np.array_equal(ps.centers, centers)
+    assert np.array_equal(ps.patches, pts[_knn_oracle(pts, centers, 8)] - centers[:, None])
+
+
+@pytest.mark.parametrize("scale", list(_OVERFLOW_CLOUDS))
+def test_nearest_indices_match_dense_argmin_when_distances_overflow(rng, scale):
+    pts = _OVERFLOW_CLOUDS[scale](rng)
+    _assert_nearest_matches_dense(pts, (1 + 1e-6) * pts[::-1])
+
+
+@pytest.mark.parametrize("scale", list(_OVERFLOW_CLOUDS))
+def test_apply_mask_block_matches_chain_oracle_when_distances_overflow(rng, scale):
+    centers = _OVERFLOW_CLOUDS[scale](rng)[:32]
+    spec = geo.apply_mask(32, 0.5, "block", rng_seed=3, centers=centers)
+    assert set(spec.masked_indices.tolist()) == set(_block_oracle(centers, 16, seed=3))

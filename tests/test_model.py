@@ -93,7 +93,7 @@ def test_encode_shapes(sphere_cloud):
     model = Model.create(cfg, seed=0)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(0, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     assert latent.tokens.shape == (1, mask.visible_indices.size, cfg.latent_width)
     assert latent.centers.shape == (1, cfg.num_groups, 3)
     assert latent.masks == (mask,)
@@ -104,7 +104,7 @@ def test_decode_config1_shape(sphere_cloud, rng):
     model = Model.create(cfg, seed=0)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     m = mask.masked_indices.size
     x_t = rng.normal(size=(1, m * cfg.patch_points, 3))
     pred = model.decode(latent, x_t, t=[3])
@@ -116,7 +116,7 @@ def test_decode_config2_shape(sphere_cloud, rng):
     model = Model.create(cfg, seed=0)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     x_t = rng.normal(size=(1, cfg.num_groups * cfg.patch_points, 3))
     pred = model.decode(latent, x_t, t=[0])
     assert pred.shape == (1, cfg.num_groups, cfg.patch_points, 3)
@@ -127,7 +127,7 @@ def test_decode_rejects_wrong_arity(sphere_cloud, rng):
     model = Model.create(cfg, seed=0)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     with pytest.raises(ShapeError):
         model.decode(latent, rng.normal(size=(1, 7, 3)), t=[0])
 
@@ -140,7 +140,7 @@ def test_decode_depends_on_timestep(sphere_cloud, rng):
         p.data = p.data + 0.05 * np.random.default_rng(hash(name) % 2**32).normal(size=p.data.shape)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     m = mask.masked_indices.size
     x_t = rng.normal(size=(1, m * cfg.patch_points, 3))
     p0 = model.decode(latent, x_t, t=[0]).data
@@ -153,7 +153,7 @@ def test_no_position_embedding_variant(sphere_cloud, rng):
     model = Model.create(cfg, seed=0)
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
-    latent = model.encode(sphere_cloud, mask)
+    latent = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     m = mask.masked_indices.size
     pred = model.decode(latent, rng.normal(size=(1, m * cfg.patch_points, 3)), t=[1])
     assert pred.shape == (1, m, cfg.patch_points, 3)
@@ -179,7 +179,7 @@ def test_latent_token_count_checked(sphere_cloud, rng):
     with pytest.raises(InvalidArgument):
         model.decode(bad, x_t, t=[0])
     # one mask per cloud of the batch
-    good = model.encode(sphere_cloud, mask)
+    good = model.encode(ps.centers, ps.patches[mask.visible_indices], mask)
     with pytest.raises(InvalidArgument):
         model.decode(mdl.LatentSet(good.tokens, good.centers, masks=(mask, mask)), x_t, t=[0])
 

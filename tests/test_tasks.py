@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import toy_config
 from pointdiff import data_io, diffusion, engine as eg, tasks
 from pointdiff.errors import CorruptBlob, InvalidArgument
-from pointdiff.geometry import apply_mask, mask_count, segment
+from pointdiff.geometry import PointCloud, apply_mask, mask_count, segment
 from pointdiff.model import Model
 
 
@@ -115,6 +115,42 @@ def test_config2_rows_fill_visible_then_masked_patches(sphere_cloud, monkeypatch
     blocks = out.points.reshape(cfg.num_groups, cfg.patch_points, 3) - ps.centers[:, None]
     order = np.concatenate([mask.visible_indices, mask.masked_indices])
     assert np.allclose(blocks[order], rows, atol=1e-12)
+
+
+def _in_patch_order(centers, visible, vis_idx, rows, msk_idx):
+    """Patch i's block plus center i, in patch-index order: the visible
+    blocks at ``vis_idx`` and prediction row r at ``msk_idx[r]``."""
+    blocks = dict(zip(vis_idx.tolist(), visible)) | dict(zip(msk_idx.tolist(), rows))
+    return np.concatenate([blocks[i] + centers[i] for i in range(len(centers))])
+
+
+def test_config1_mixed_block_sizes_land_at_their_patches(sphere_cloud, monkeypatch):
+    # upsample_factor 2 on a Config 1 model: visible blocks of group_size
+    # points, predicted ones of twice that; prediction row r is r + 0.25
+    model, schedule = make_model(upsample_factor=2)
+    cfg = model.cfg
+    m = mask_count(cfg.mask_ratio, cfg.num_groups)
+    rows = np.arange(m)[:, None, None] + np.full((m, cfg.patch_points, 3), 0.25)
+    monkeypatch.setattr(tasks, "sample_patches", lambda *args, **kwargs: rows)
+
+    ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
+    mask = model.draw_mask(2, centers=ps.centers)
+    vis, msk = mask.visible_indices, mask.masked_indices
+    out = tasks.reconstruct(sphere_cloud, model, schedule, seed=2)
+    assert np.array_equal(out.points, _in_patch_order(ps.centers, ps.patches[vis], vis, rows, msk))
+
+    blob = tasks.parse_blob(tasks.compress(sphere_cloud, cfg, mask_seed=1))
+    vis, msk = np.flatnonzero(~blob.indicator), np.flatnonzero(blob.indicator)
+    visible = blob.visible_points.reshape(-1, cfg.group_size, 3) - blob.centers[vis][:, None]
+    out = tasks.decompress(blob.raw, model, schedule, seed=1)
+    assert np.array_equal(out.points, _in_patch_order(blob.centers, visible, vis, rows, msk))
+
+    partial = PointCloud(ps.absolute(vis).reshape(-1, 3))
+    part = segment(partial, vis.size, cfg.group_size)
+    centers = np.concatenate([part.centers, ps.centers[msk]])
+    out = tasks.complete(partial, model, schedule, masked_centers=ps.centers[msk])
+    assert np.array_equal(out.points, _in_patch_order(centers, part.patches, np.arange(vis.size),
+                                                      rows, vis.size + np.arange(m)))
 
 
 def test_upsample_requires_config2(sphere_cloud):
@@ -280,9 +316,10 @@ def test_no_grad_decode_output_has_no_parents(sphere_cloud, rng):
     ps = segment(sphere_cloud, cfg.num_groups, cfg.group_size)
     mask = model.draw_mask(1, centers=ps.centers)
     x_t = rng.normal(size=(1, mask.masked_indices.size * cfg.patch_points, 3))
-    assert model.decode(model.encode(sphere_cloud, mask), x_t, [1])._parents
+    visible = ps.patches[mask.visible_indices]
+    assert model.decode(model.encode(ps.centers, visible, mask), x_t, [1])._parents
     with eg.no_grad():
-        pred = model.decode(model.encode(sphere_cloud, mask), x_t, [1])
+        pred = model.decode(model.encode(ps.centers, visible, mask), x_t, [1])
     assert pred._parents == ()
 
 

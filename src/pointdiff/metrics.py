@@ -9,26 +9,51 @@ the dense ``sq_dists`` minimum, and each cloud's ``geometry.nearest_tree`` is
 built once per call.
 
 Pruning.  First every row and every column gets one pair (the diagonal
-when G = R), then come the other pairs.  Each pair searches first in the
-direction with fewer query rows, giving d1, and skips the second direction
-when ``mean(d1)`` exceeds both its row's and its column's CD minimum so far
-and ``sqrt(max(d1))`` exceeds its row's HD minimum so far.  When only the HD
-test fails, the second direction is searched in blocks of ``_SEARCH_ROWS``
-rows and stops at the first block holding a d with ``sqrt(d)`` above the
-row's HD minimum.  So ``evaluate`` over G and R clouds builds G + R trees
-and runs between G·R + max(G, R) and 2·G·R searches.
+when G = R), then come the other pairs.  A search of n query rows visits
+them in k = ceil(n / ``_SEARCH_ROWS``) strided blocks ``queries[s::k]``, so
+each block samples the whole cloud, and writes each block's minima to
+``d[s::k]`` of one array.  Each pair searches first in the direction with
+fewer query rows, giving d1, and is skipped as soon as the blocks searched
+so far prove ``mean(d1)`` above both its row's and its column's CD minimum
+so far and hold a d with ``sqrt(d)`` above its row's HD minimum so far.  A
+d1 searched to its last row is tested again on its whole mean and maximum.
+When only the HD test fails, the second direction is searched with the HD
+test alone and stops at the first block holding a d with ``sqrt(d)`` above
+the row's HD minimum.  So ``evaluate`` over G and R clouds builds G + R
+trees and searches the max(G, R) covering pairs in full both ways; every
+other pair searches at least one block and at most all rows both ways.
 
-Why it stays exact, with no margin.  Every d is >= 0, so ``mean(d2) >= 0``,
+The CD test reads the running float sum P of the searched blocks' sums and
+passes when ``fl(fl(P * c) / n) > cd_bound``, c = fl((1 - 2n*eps)**2) and
+cd_bound the larger of the two CD minima.  When a searched d is inf, P is
+inf and so is ``mean(d1)``; a P that overflows on finite d is read as the
+largest float.
+
+Why it stays exact, with no margin beyond c.  Each row of a block is that
+row's exact dense minimum, whatever the other rows of the block, so a d
+searched to its last row is bitwise the one-call search and its mean sums
+the same array in the same order.  Every d is >= 0, so ``mean(d2) >= 0``,
 and IEEE rounding is monotone: CD = fl(mean(d1) + mean(d2)) >=
 fl(mean(d1) + 0) = mean(d1).  ``sqrt`` is correctly rounded, hence monotone
-too: HD >= sqrt(max(d1)), and HD >= sqrt(d) for every d of d2.  The minima
-so far are no smaller than the final ones, so a skipped pair is strictly
-greater than every minimum it could change and is none of them: every
-reported float is the one the full G×R table gives.  Ties (``==``) are
-never skipped.  A row or column with no pair yet stands at inf, and inf
-never exceeds inf, so an overflowing pair is searched in full.  A maximum
-does not depend on the order of the blocks, so the HD stop is exact; the
-CD tests read only whole means, never a partial sum.
+too: HD >= sqrt(max(d1)), and HD >= sqrt(d) for every d of d2; a maximum
+over some of the rows is at most the maximum over all of them, so the HD
+tests on blocks are exact.  For the CD test let S be the exact sum of all n
+d of the search, so the exact sum of the searched rows is at most S.  A
+float sum of m <= n non-negative terms, in any order, lies within a factor
+(1 +- u)^(n-1) of the exact one (u = eps / 2): each addition rounds
+(a + b) to (a + b)(1 + e), |e| <= u, and an addition whose result is
+subnormal is exact, so no absolute slack for subnormals is needed.  Hence
+P <= S (1 + u)^(n-1) and numpy's pairwise sum s in ``mean(d1) = fl(s / n)``
+is >= S (1 - u)^(n-1).  For n below 2^50, c <= ((1 - u) / (1 + u))^(n-1),
+so P * c <= s exactly; as rounding is monotone, fl(P * c) <= s and
+fl(fl(P * c) / n) <= fl(s / n) = ``mean(d1)``.  Overflow keeps this: once P
+overflows, the same sum with an unbounded exponent is at least the largest
+float, which the test reads in its place, and an s that overflows is inf.
+The minima so far are no smaller than the final ones, so a skipped pair is
+strictly greater than every minimum it could change and is none of them:
+every reported float is the one the full G x R table gives.  Ties (``==``)
+are never skipped.  A row or column with no pair yet stands at inf, and inf
+never exceeds inf, so an overflowing pair is searched in full.
 """
 
 from __future__ import annotations
@@ -52,6 +77,7 @@ def _as_points(cloud):
 
 # query rows per block of a search that may stop early (see the module docstring)
 _SEARCH_ROWS = 2048
+_EPS, _MAX = np.finfo(np.float64).eps, np.finfo(np.float64).max
 
 
 def chamfer_l2(a, b):
@@ -66,15 +92,25 @@ def hausdorff(a, b):
     return diagonal[0][1]
 
 
-def _search(queries, tree, hd_bound=np.inf):
-    """``nearest_sq_dists(tree, queries)``, ``_SEARCH_ROWS`` rows at a time,
-    or None as soon as a block holds a d with ``sqrt(d) > hd_bound``."""
-    blocks = []
-    for lo in range(0, len(queries), _SEARCH_ROWS):
-        blocks.append(nearest_sq_dists(tree, queries[lo : lo + _SEARCH_ROWS]))
-        if np.sqrt(np.max(blocks[-1])) > hd_bound:
+def _search(queries, tree, cd_bound=np.inf, hd_bound=np.inf):
+    """``nearest_sq_dists(tree, queries)`` in strided blocks of at most
+    ``_SEARCH_ROWS`` rows, or None as soon as the blocks searched so far
+    prove ``mean(d) > cd_bound`` and hold a d with ``sqrt(d) > hd_bound``
+    (see the module docstring)."""
+    n = len(queries)
+    k = -(-n // _SEARCH_ROWS)
+    shrink = (1 - 2 * n * _EPS) ** 2
+    d, total, peak = np.empty(n), 0.0, 0.0
+    for s in range(k):
+        block = nearest_sq_dists(tree, queries[s::k])
+        d[s::k] = block
+        total += float(np.sum(block))
+        peak = max(peak, float(np.max(block)))
+        # a d of inf makes mean(d) inf; a sum that overflows on finite d does not
+        low = total if peak == np.inf else min(total, _MAX) * shrink / n
+        if low > cd_bound and np.sqrt(peak) > hd_bound:
             return None
-    return np.concatenate(blocks)
+    return d
 
 
 def _pair_minima(what, gen_set, ref_set):
@@ -98,12 +134,15 @@ def _pair_minima(what, gen_set, ref_set):
         # (queries, tree) each way, the one with fewer query rows first
         first, second = sorted([(gen[i], ref_trees[j]), (ref[j], gen_trees[i])],
                                key=lambda way: len(way[0]))
-        d1 = _search(*first)
+        d1 = _search(*first, cd_bound=max(row_cd[i], col_cd[j]), hd_bound=row_hd[i])
+        if d1 is None:
+            continue
         cd_low, hd_low = np.mean(d1), np.sqrt(np.max(d1))
         cd_pruned = cd_low > row_cd[i] and cd_low > col_cd[j]
         if cd_pruned and hd_low > row_hd[i]:
             continue
-        d2 = _search(*second, hd_bound=row_hd[i] if cd_pruned else np.inf)
+        # a pruned d1 has proved the CD test: the second search stops on HD alone
+        d2 = _search(*second, cd_bound=-np.inf, hd_bound=row_hd[i] if cd_pruned else np.inf)
         if d2 is None:
             continue
         cd = float(cd_low + np.mean(d2))

@@ -104,11 +104,12 @@ def predicted_indices(cfg: ModelConfig, mask: MaskSpec):
 
 def _trunc_normal(rng, shape, std=0.02):
     x = rng.normal(0.0, std, size=shape)
-    # resample the tails beyond 2 std
-    bad = np.abs(x) > 2 * std
-    while np.any(bad):
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    # resample the tails beyond 2 std, in flat order, until none is left
+    flat = x.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2 * std)
+    while idx.size:
+        flat[idx] = rng.normal(0.0, std, size=idx.size)
+        idx = idx[np.abs(flat[idx]) > 2 * std]
     return x
 
 

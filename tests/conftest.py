@@ -92,7 +92,8 @@ def translated_shapes(sizes, seed):
 @pytest.fixture
 def nn_searches(monkeypatch):
     """Every ``nearest_sq_dists`` call the metrics make, as (tree size, query
-    rows).  A search of fewer than ``metrics._SEARCH_ROWS`` rows is one call."""
+    rows).  A search of at most ``metrics._SEARCH_ROWS`` rows is one call; a
+    longer one is a run of consecutive calls, one per strided block."""
     calls = []
     search = metrics.nearest_sq_dists
 

@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from conftest import (brute_chamfer, brute_hausdorff, composed_report, dense_d2,
                       translated_shapes)
-from pointdiff import geometry, metrics
+from pointdiff import data_io, geometry, metrics
 from pointdiff.errors import InvalidArgument
 from pointdiff.geometry import PointCloud
 
@@ -272,6 +272,104 @@ def test_pruning_skips_every_off_diagonal_second_search(nn_searches):
     # one search per off-diagonal pair, in the direction with fewer query rows
     assert off == sorted((max(len(g), len(r)), min(len(g), len(r)))
                          for i, g in enumerate(gen) for j, r in enumerate(ref) if i != j)
+
+
+def _bench_shaped(rng):
+    # the codec bench's evaluate in small: the four kinds around one origin,
+    # each reference against a noisy two-thirds of its own points, as the
+    # codec's decoded visible points are; all eight sizes differ
+    ref = [data_io.synth_shape(kind, n, seed=k).points
+           for k, (kind, n) in enumerate(zip(data_io.SYNTH_KINDS, (400, 410, 420, 430)))]
+    gen = [np.clip(r[: len(r) * 2 // 3] + 0.003 * rng.normal(size=(len(r) * 2 // 3, 3)),
+                   -0.5, 0.5) for r in ref]
+    return gen, ref
+
+
+# the pruning cases with searches of many strided blocks: at _SEARCH_ROWS = 7
+# most clouds are not a whole number of blocks, and "ragged" adds clouds of
+# fewer rows than one block, of exactly one, and of one row more
+_BLOCKED_CASES = dict(_PRUNING_CASES, **{
+    "ragged": lambda rng: (translated_shapes((5, 13, 50, 99), 1),
+                           _near(rng, translated_shapes((7, 8, 22, 51), 5), 0.01)),
+    "bench-shaped": _bench_shaped,
+})
+
+
+@pytest.mark.parametrize("case", list(_BLOCKED_CASES))
+def test_blocked_searches_equal_composed_public_functions(rng, monkeypatch, case):
+    gen, ref = _BLOCKED_CASES[case](rng)
+    if case == "overflow":
+        monkeypatch.setattr(metrics, "jsd", lambda *args: 0.0)
+    monkeypatch.setattr(metrics, "_SEARCH_ROWS", 7)
+    _assert_equals_composed(gen, ref)
+
+
+def _search_runs(calls):
+    """``nn_searches`` calls grouped into searches, as (tree size, query
+    rows): a search's strided blocks are consecutive calls on one tree."""
+    runs = []
+    for n, rows in calls:
+        if runs and runs[-1][0] == n:
+            runs[-1][1] += rows
+        else:
+            runs.append([n, rows])
+    return [tuple(run) for run in runs]
+
+
+@pytest.mark.parametrize("rows", [7, 32])
+def test_first_searches_stop_early_on_bench_shaped_sets(rng, monkeypatch, nn_searches, rows):
+    gen, ref = _bench_shaped(rng)
+    monkeypatch.setattr(metrics, "_SEARCH_ROWS", rows)
+    metrics.evaluate(gen, ref)
+    runs = _search_runs(nn_searches)
+    # the diagonal pairs come first and are searched in full, both ways
+    assert runs[:8] == [way for g, r in zip(gen, ref) for way in ((len(r), len(g)),
+                                                                  (len(g), len(r)))]
+    # then one first search per off-diagonal pair, each stopped before the
+    # last row of its smaller cloud, and no second search
+    off = [(i, j) for i in range(4) for j in range(4) if i != j]
+    assert [n for n, _ in runs[8:]] == [len(ref[j]) for i, j in off]
+    for (i, j), (_, searched) in zip(off, runs[8:]):
+        assert searched < min(len(gen[i]), len(ref[j])), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4100])
+def test_search_equals_one_dense_search_and_never_stops_on_a_tie(rng, nn_searches, n):
+    # at the default _SEARCH_ROWS: one block up to 2048 rows, then strided ones
+    queries = rng.uniform(-0.5, 0.5, size=(n, 3))
+    points = rng.uniform(-0.5, 0.5, size=(300, 3))
+    tree = geometry.nearest_tree(points)
+    want = dense_d2(queries, points).min(axis=1)
+    d = metrics._search(queries, tree)
+    assert d.tobytes() == want.tobytes()
+    k = -(-n // 2048)
+    assert [rows for _, rows in nn_searches] == [len(range(s, n, k)) for s in range(k)]
+    cd, hd = np.mean(want), np.sqrt(np.max(want))
+    for cd_bound, hd_bound in ((cd, -1.0), (-np.inf, hd), (cd, hd), (np.inf, -1.0)):
+        d = metrics._search(queries, tree, cd_bound=cd_bound, hd_bound=hd_bound)
+        assert d is not None and d.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [7, 2048])
+def test_search_stops_only_when_both_bounds_are_exceeded(rng, monkeypatch, nn_searches, rows):
+    monkeypatch.setattr(metrics, "_SEARCH_ROWS", rows)
+    queries = rng.uniform(-0.5, 0.5, size=(3000, 3))
+    points = rng.uniform(-0.5, 0.5, size=(200, 3)) + [0.2, 0.0, 0.0]
+    tree = geometry.nearest_tree(points)
+    want = dense_d2(queries, points).min(axis=1)
+    cd, hd = np.mean(want), np.sqrt(np.max(want))
+    for cd_bound in (-np.inf, 0.0, cd / 4, np.nextafter(cd, 0.0), cd, np.inf):
+        for hd_bound in (-np.inf, 0.0, hd / 4, np.nextafter(hd, 0.0), hd, np.inf):
+            d = metrics._search(queries, tree, cd_bound=cd_bound, hd_bound=hd_bound)
+            if d is None:
+                assert cd > cd_bound and hd > hd_bound, (cd_bound, hd_bound)
+            else:
+                assert d.tobytes() == want.tobytes()
+    # the first block, at least 7 of the 3000 rows, proves a mean above
+    # cd / 1000 and holds a d above 0
+    nn_searches.clear()
+    assert metrics._search(queries, tree, cd_bound=cd / 1000, hd_bound=0.0) is None
+    assert len(nn_searches) == 1
 
 
 def test_evaluate_builds_each_tree_once(rng, monkeypatch):

@@ -52,6 +52,26 @@ def test_init_params_deterministic_and_bounded():
     assert not np.array_equal(a["enc.token.fc1.w"].data, c["enc.token.fc1.w"].data)
 
 
+def _trunc_normal_whole_array(rng, shape, std=0.02):
+    # every out-of-range entry redrawn by a mask over the whole array each round
+    x = rng.normal(0.0, std, size=shape)
+    bad = np.abs(x) > 2 * std
+    while np.any(bad):
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * std
+    return x
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (64, 3), (384, 1536), (4, 5, 6)])
+@pytest.mark.parametrize("seed", [0, 3, 101])
+def test_trunc_normal_equals_whole_array_redraw_bitwise(shape, seed):
+    for std in (0.02, 1.0):
+        got = mdl._trunc_normal(np.random.default_rng(seed), shape, std)
+        want = _trunc_normal_whole_array(np.random.default_rng(seed), shape, std)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.abs(got).max() <= 2 * std
+
+
 def test_token_embed_permutation_invariant(rng):
     cfg = toy_config()
     params = mdl.init_params(cfg, seed=0)

@@ -60,6 +60,8 @@ def _read_text(path):
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8 text",
                          line=raw.count(b"\n", 0, exc.start) + 1) from None
+    if "\r" not in text:  # one scan in place of two replace passes that change nothing
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

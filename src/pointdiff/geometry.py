@@ -251,10 +251,14 @@ def _tree_candidates(tree, centers, q, k):
     side distances, updated once per tree level by one subtraction and one
     addition of terms no larger than the bound itself, and the tree has
     fewer than N levels: a left-out point's true squared distance is at
-    least f' * (1 - (2N + 6)u).  The tree returns sqrt(f'), and squaring it
-    again gives f within 3u; ``sq_dists`` is within 5u of the truth.  So a
-    left-out point's exact distance is at least f * (1 - (2N + 14)u) less
-    (N + 8) tiny, and the test above proves it exceeds d_k, with room for
+    least f' * (1 - (2N + 6)u).  This holds for any build.  A build only
+    places the split planes, and the query updates the bounds alike over
+    compact cells or not; a sliding-midpoint split, like a median one,
+    leaves points on both sides, so there are still fewer than N levels.
+    The tree returns sqrt(f'), and squaring it again gives f within 3u;
+    ``sq_dists`` is within 5u of the truth.  So a left-out point's exact
+    distance is at least f * (1 - (2N + 14)u) less (N + 8) tiny, and the
+    test above proves it exceeds d_k, with room for
     the second-order terms and the rounding of the test itself.  Distances
     that overflow make f - d_k infinite or NaN, and such rows are not
     settled.  cKDTree returns a candidate whose distance overflows as index
@@ -296,7 +300,10 @@ def knn_group(cloud: PointCloud, centers, group_size: int):
     # squared distances that overflow are inf, and their rows are not settled
     with np.errstate(over="ignore", invalid="ignore"):
         if q < n:  # at q = N every point is a candidate and the dense rows are cheaper
-            cand, d, _, settled = _tree_candidates(cKDTree(cloud.points), centers, q, k)
+            # G queries cannot repay the median split's and compact cells'
+            # longer build, and a sliding-midpoint tree answers them as fast
+            tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+            cand, d, _, settled = _tree_candidates(tree, centers, q, k)
             order = np.lexsort((cand, d))
             groups[:] = np.take_along_axis(cand, order[:, :k], axis=1)
         for i in np.flatnonzero(~settled):

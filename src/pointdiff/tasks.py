@@ -17,7 +17,8 @@ import numpy as np
 from . import diffusion
 from . import engine as eg
 from .errors import CorruptBlob, InvalidArgument
-from .geometry import MaskSpec, PointCloud, apply_mask, assemble, mask_count, segment
+from .geometry import (MaskSpec, PointCloud, apply_mask, assemble, fps, knn_group, mask_count,
+                       segment)
 from .model import LatentSet, Model, predicted_indices
 
 _BLOB_MAGIC = b"DPC1"
@@ -50,6 +51,18 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0, on_step=No
     return x0.reshape(shape)
 
 
+def _visible_patches(cloud: PointCloud, cfg, ratio, strategy, seed):
+    """``segment``'s centers, the mask drawn from them and only the visible
+    blocks: bitwise ``segment(...).patches[mask.visible_indices]``, as each
+    ``knn_group`` row depends on its own center alone."""
+    if cfg.num_groups > len(cloud):
+        raise InvalidArgument(f"segment: G={cfg.num_groups} exceeds cloud size {len(cloud)}")
+    centers = cloud.points[fps(cloud, cfg.num_groups)]
+    mask = apply_mask(cfg.num_groups, ratio, strategy, seed, centers=centers)
+    vis = centers[mask.visible_indices]
+    return centers, mask, cloud.points[knn_group(cloud, vis, cfg.group_size)] - vis[:, None, :]
+
+
 def _generate(model: Model, centers, visible, mask: MaskSpec, schedule, seed,
               on_step=None) -> PointCloud:
     """Encode the ``visible`` center-relative blocks (``mask.visible_indices``
@@ -78,10 +91,8 @@ def reconstruct(cloud: PointCloud, model: Model, schedule, seed=0, mask_strategy
     """Mask, encode, sample the masked patches and reassemble the object;
     ``on_step(t, cloud)`` sees the whole cloud after each reverse step."""
     cfg = model.cfg
-    ps = segment(cloud, cfg.num_groups, cfg.group_size)
-    mask = model.draw_mask(seed, centers=ps.centers, strategy=mask_strategy)
-    return _generate(model, ps.centers, ps.patches[mask.visible_indices], mask, schedule, seed,
-                     on_step)
+    centers, mask, visible = _visible_patches(cloud, cfg, cfg.mask_ratio, mask_strategy, seed)
+    return _generate(model, centers, visible, mask, schedule, seed, on_step)
 
 
 def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
@@ -129,9 +140,9 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
     cfg = model.cfg
     if not cfg.predict_visible:
         raise InvalidArgument("upsampling requires a Config 2 model (predict_visible)")
-    ps = segment(low_res_cloud, cfg.num_groups, cfg.group_size)
-    mask = apply_mask(cfg.num_groups, 1.0 - visible_fraction, "random", seed, centers=ps.centers)
-    return _generate(model, ps.centers, ps.patches[mask.visible_indices], mask, schedule, seed)
+    centers, mask, visible = _visible_patches(low_res_cloud, cfg, 1.0 - visible_fraction,
+                                              "random", seed)
+    return _generate(model, centers, visible, mask, schedule, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +193,10 @@ def compress(cloud: PointCloud, model_cfg, mask_seed=0, quant_bits=10,
     if not 6 <= quant_bits <= 16:
         raise InvalidArgument(f"quant_bits must be in [6, 16], got {quant_bits}")
     cfg = model_cfg
-    ps = segment(cloud, cfg.num_groups, cfg.group_size)
-    mask = apply_mask(cfg.num_groups, cfg.mask_ratio, mask_strategy, mask_seed,
-                      centers=ps.centers)
-    vis_points = ps.absolute(mask.visible_indices).reshape(-1, 3)
-    coords = np.concatenate([vis_points, ps.centers], axis=0)
+    centers, mask, visible = _visible_patches(cloud, cfg, cfg.mask_ratio, mask_strategy,
+                                              mask_seed)
+    vis_points = (visible + centers[mask.visible_indices, None, :]).reshape(-1, 3)
+    coords = np.concatenate([vis_points, centers], axis=0)
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     extent = hi - lo

@@ -91,6 +91,15 @@ def _dense_rows(cloud, centers, k):
     return (np.concatenate(rows) if rows else np.empty((0, 3))), groups
 
 
+def _tied_grid(rng):
+    return np.floor(rng.uniform(0.0, 1.0, size=(512, 3)) * 8) / 8
+
+
+def _duplicates(rng):
+    # every point appears 7 times, in shuffled positions
+    return np.repeat(rng.normal(size=(40, 3)), 7, axis=0)[rng.permutation(280)]
+
+
 @pytest.mark.parametrize("margin", [1, 100, None, 0])
 @pytest.mark.parametrize("k", [1, 7, 100, 512])
 def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin):
@@ -99,7 +108,7 @@ def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin)
     # The candidate margin moves rows between the KD-tree and the dense
     # recomputation; at margin 0 the tree's last candidate is the k-th
     # itself, so every row is recomputed densely
-    pts = np.floor(rng.uniform(0.0, 1.0, size=(512, 3)) * 8) / 8
+    pts = _tied_grid(rng)
     center_idx = rng.choice(512, size=20, replace=False)
     if margin is None:
         _assert_knn_matches_oracle(pts, center_idx, k)
@@ -113,8 +122,7 @@ def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin)
 
 @pytest.mark.parametrize("k", [1, 3, 7, 8, 20, 280])
 def test_knn_group_matches_stable_argsort_with_duplicates(rng, k):
-    # every point appears 7 times, in shuffled positions
-    pts = np.repeat(rng.normal(size=(40, 3)), 7, axis=0)[rng.permutation(280)]
+    pts = _duplicates(rng)
     _assert_knn_matches_oracle(pts, rng.choice(280, size=9, replace=False), k)
 
 
@@ -436,3 +444,21 @@ def test_apply_mask_block_matches_chain_oracle_when_distances_overflow(rng, scal
     centers = _OVERFLOW_CLOUDS[scale](rng)[:32]
     spec = geo.apply_mask(32, 0.5, "block", rng_seed=3, centers=centers)
     assert set(spec.masked_indices.tolist()) == set(_block_oracle(centers, 16, seed=3))
+
+
+_TIED_CLOUDS = {"tied-grid": _tied_grid, "duplicates": _duplicates,
+                **{f"overflow-{scale}": make for scale, make in _OVERFLOW_CLOUDS.items()}}
+
+
+@pytest.mark.parametrize("k", [1, 7, 100, "all"])
+@pytest.mark.parametrize("name", list(_TIED_CLOUDS))
+def test_knn_group_rows_do_not_depend_on_the_other_centers(rng, name, k):
+    # the tasks group only the visible patches, which equals grouping all of
+    # them and keeping the visible rows only if each row is its own center's
+    pts = _TIED_CLOUDS[name](rng)
+    k = len(pts) if k == "all" else k
+    centers = pts[rng.choice(len(pts), size=24, replace=False)]
+    every = geo.knn_group(PointCloud(pts), centers, k)
+    for size in (1, 2, 6, 18, 24):
+        rows = rng.choice(24, size=size, replace=False)  # a random subset, in random order
+        assert np.array_equal(geo.knn_group(PointCloud(pts), centers[rows], k), every[rows])

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_config
-from pointdiff import data_io, diffusion, engine as eg, tasks
+from pointdiff import cli, data_io, diffusion, engine as eg, tasks
 from pointdiff.errors import CorruptBlob, InvalidArgument
 from pointdiff.geometry import PointCloud, apply_mask, mask_count, segment
-from pointdiff.model import Model
+from pointdiff.model import Model, predicted_indices
 
 
 def make_model(**overrides):
@@ -153,6 +153,56 @@ def test_config1_mixed_block_sizes_land_at_their_patches(sphere_cloud, monkeypat
                                                       rows, vis.size + np.arange(m)))
 
 
+def _tokens_as_rows(model, latent, schedule, seed=0, on_step=None):
+    """A sampler stub whose prediction rows are the encoder's tokens, cycled:
+    every row depends on the visible blocks and centers that were encoded."""
+    (mask,) = latent.masks
+    shape = (predicted_indices(model.cfg, mask).size, model.cfg.patch_points, 3)
+    return np.resize(latent.tokens.data, shape)
+
+
+@pytest.mark.parametrize("strategy", ["random", "block"])
+@pytest.mark.parametrize("predict_visible", [False, True], ids=["config1", "config2"])
+def test_reconstruct_and_upsample_equal_the_segment_path(monkeypatch, predict_visible, strategy):
+    # the tasks group only the visible patches; the reference groups every
+    # patch with segment and keeps the visible ones
+    monkeypatch.setattr(tasks, "sample_patches", _tokens_as_rows)
+    model, schedule = make_model(num_groups=64, group_size=32, predict_visible=predict_visible,
+                                 upsample_factor=2)
+    cfg = model.cfg
+    cloud = data_io.synth_shape("torus", 2048, seed=7)
+
+    def via_segment(ratio, strategy):
+        ps = segment(cloud, cfg.num_groups, cfg.group_size)
+        mask = apply_mask(cfg.num_groups, ratio, strategy, 5, centers=ps.centers)
+        return tasks._generate(model, ps.centers, ps.patches[mask.visible_indices], mask,
+                               schedule, 5).points
+
+    out = tasks.reconstruct(cloud, model, schedule, seed=5, mask_strategy=strategy)
+    assert np.array_equal(out.points, via_segment(cfg.mask_ratio, strategy))
+    if predict_visible and strategy == "random":
+        out = tasks.upsample(cloud, model, schedule, seed=5, visible_fraction=0.4)
+        assert np.array_equal(out.points, via_segment(1.0 - 0.4, "random"))
+
+
+@pytest.mark.parametrize("task", ["compress", "reconstruct", "upsample", "cli-compress"])
+def test_cloud_smaller_than_g_keeps_segments_error(tmp_path, capsys, task):
+    model, schedule = make_model(predict_visible=True)
+    cloud = data_io.synth_shape("sphere", model.cfg.num_groups - 1, seed=1)
+    calls = {"compress": lambda: tasks.compress(cloud, model.cfg),
+             "reconstruct": lambda: tasks.reconstruct(cloud, model, schedule),
+             "upsample": lambda: tasks.upsample(cloud, model, schedule)}
+    if task in calls:
+        with pytest.raises(InvalidArgument, match=r"^segment: G=8 exceeds cloud size 7$"):
+            calls[task]()
+        return
+    # the CLI's default model has G = 64
+    path = tmp_path / "small.ply"
+    data_io.save_cloud(data_io.synth_shape("sphere", 63, seed=1), path)
+    assert cli.main(["compress", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == "error: segment: G=64 exceeds cloud size 63\n"
+
+
 def test_upsample_requires_config2(sphere_cloud):
     model, schedule = make_model()
     with pytest.raises(InvalidArgument):
@@ -231,6 +281,33 @@ def test_parse_blob_rejects_corruption(sphere_cloud):
         tasks.parse_blob(bytes(flipped))
     with pytest.raises(CorruptBlob):
         tasks.parse_blob(bytes(blob[:20]))
+
+
+def _compress_via_segment(cloud, cfg, mask_seed, quant_bits, mask_strategy):
+    """``compress`` built on segment: every patch grouped, the masked ones
+    then dropped, and the blob written field by field."""
+    ps = segment(cloud, cfg.num_groups, cfg.group_size)
+    mask = apply_mask(cfg.num_groups, cfg.mask_ratio, mask_strategy, mask_seed,
+                      centers=ps.centers)
+    coords = np.concatenate([ps.absolute(mask.visible_indices).reshape(-1, 3), ps.centers])
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    body = (b"DPC1" + struct.pack("<BIIB", 1, cfg.num_groups, cfg.group_size, quant_bits)
+            + struct.pack("<6d", *lo, *hi) + np.packbits(mask.indicator).tobytes()
+            + tasks._pack(tasks._quantize(coords, lo, hi - lo, quant_bits), quant_bits))
+    return body + hashlib.sha256(body).digest()[:16]
+
+
+@pytest.mark.parametrize("strategy", ["random", "block"])
+@pytest.mark.parametrize("q", [10, 12])
+@pytest.mark.parametrize("kind, n, groups, group_size", [
+    ("two-spheres", 2048, 64, 32), ("cube", 8192, 256, 128),
+    ("torus", 512, 512, 16), ("sphere", 64, 64, 64),  # G = N; the last with group_size = N
+])
+def test_compress_equals_the_segment_path(kind, n, groups, group_size, q, strategy):
+    cloud = data_io.synth_shape(kind, n, seed=q)
+    cfg = toy_config(num_groups=groups, group_size=group_size)
+    blob = tasks.compress(cloud, cfg, mask_seed=q, quant_bits=q, mask_strategy=strategy)
+    assert blob == _compress_via_segment(cloud, cfg, q, q, strategy)
 
 
 def test_blob_golden_digest(sphere_cloud):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -286,6 +287,25 @@ def cmd_trace(args):
 # argument parsing
 
 
+def _checked(convert, accept, expected):
+    """An argparse ``type``: ``convert(text)`` when ``accept`` takes it,
+    else a usage error naming ``expected``."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+# numpy seeds its generators from non-negative integers only
+_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_SIGMA = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="pointdiff", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pointdiff {__version__}")
@@ -300,7 +320,7 @@ def build_parser():
 
     def common(p, *read, needs_input=False, needs_ckpt=False):
         """--seed, --out and the named ``flags`` the subcommand reads."""
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--out", help="output file or directory")
         for flag in read:
             p.add_argument(flag, **flags[flag])
@@ -313,19 +333,20 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic shape")
     p.add_argument("--kind", required=True, choices=data_io.SYNTH_KINDS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=_SIGMA, default=0.0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-encoder", help="pretrain the encoder")
     common(p, "--config", "--mask-ratio", "--mask-strategy")
-    p.set_defaults(func=cmd_train_encoder, _needs_config=True)
+    # seed=None: without --seed, [train] seed or TrainConfig's default holds
+    p.set_defaults(func=cmd_train_encoder, _needs_config=True, seed=None)
 
     p = sub.add_parser("train-decoder", help="train the diffusion decoder")
     common(p, "--config", "--mask-strategy", "--loss-setting")
     p.add_argument("--ckpt-encoder", dest="ckpt_encoder", required=True)
-    p.set_defaults(func=cmd_train_decoder, _needs_config=True)
+    p.set_defaults(func=cmd_train_decoder, _needs_config=True, seed=None)
 
     p = sub.add_parser("reconstruct", help="mask + regenerate a cloud")
     common(p, "--mask-strategy", needs_input=True, needs_ckpt=True)

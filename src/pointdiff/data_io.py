@@ -209,8 +209,7 @@ def resample(cloud: PointCloud, target, method="fps", seed=0) -> PointCloud:
 def synth_shape(kind, n, noise_sigma=0.0, seed=0) -> PointCloud:
     """Deterministic area-weighted surface sampling of a primitive shape,
     plus optional Gaussian jitter; output is normalized."""
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    _check_synth_args(kind, n, noise_sigma, seed)
     rng = np.random.default_rng(seed)
     if kind == "sphere":
         pts = _sample_sphere(rng, n, radius=0.5)
@@ -220,17 +219,27 @@ def synth_shape(kind, n, noise_sigma=0.0, seed=0) -> PointCloud:
         pts = _sample_torus(rng, n, big_r=0.35, small_r=0.15)
     elif kind == "cylinder":
         pts = _sample_cylinder(rng, n, radius=0.3, height=1.0)
-    elif kind == "two-spheres":
+    else:  # two-spheres
         half = n // 2
         a = _sample_sphere(rng, half, radius=0.22) + np.array([-0.28, 0.0, 0.0])
         b = _sample_sphere(rng, n - half, radius=0.22) + np.array([0.28, 0.0, 0.0])
         pts = np.concatenate([a, b], axis=0)
-    else:
-        raise InvalidArgument(f"unknown shape kind {kind!r}; choose from {SYNTH_KINDS}")
     if noise_sigma > 0:
         pts = pts + rng.normal(0.0, noise_sigma, size=pts.shape)
     cloud, _ = normalize(PointCloud(pts))
     return cloud
+
+
+def _check_synth_args(kind, n, noise_sigma, seed):
+    """InvalidArgument unless ``synth_shape`` can draw these arguments."""
+    if kind not in SYNTH_KINDS:
+        raise InvalidArgument(f"unknown shape kind {kind!r}; choose from {SYNTH_KINDS}")
+    if n < 1:
+        raise InvalidArgument(f"n must be >= 1, got {n}")
+    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+        raise InvalidArgument(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
 
 
 def _sample_sphere(rng, n, radius):
@@ -277,17 +286,20 @@ def _sample_cylinder(rng, n, radius, height):
     side_area = 2 * np.pi * radius * height
     cap_area = np.pi * radius**2
     total = side_area + 2 * cap_area
-    pts = np.empty((n, 3))
     which = rng.uniform(size=n) * total
     theta = rng.uniform(0, 2 * np.pi, size=n)
-    for i in range(n):
-        if which[i] < side_area:
-            z = rng.uniform(-height / 2, height / 2)
-            pts[i] = [radius * np.cos(theta[i]), radius * np.sin(theta[i]), z]
-        else:
-            rr = radius * np.sqrt(rng.uniform())
-            z = height / 2 if which[i] < side_area + cap_area else -height / 2
-            pts[i] = [rr * np.cos(theta[i]), rr * np.sin(theta[i]), z]
+    # one double per point, side or cap: the stream of a per-point
+    # ``rng.uniform(-h/2, h/2)`` / ``rng.uniform()`` loop, and its values
+    u = rng.uniform(size=n)
+    side = which < side_area
+    rr = np.where(side, radius, radius * np.sqrt(u))
+    low, high = -height / 2, height / 2
+    cap_z = np.where(which < side_area + cap_area, high, low)
+    z = np.where(side, low + (high - low) * u, cap_z)  # Generator.uniform(low, high)'s arithmetic
+    pts = np.empty((n, 3))
+    pts[:, 0] = rr * np.cos(theta)
+    pts[:, 1] = rr * np.sin(theta)
+    pts[:, 2] = z
     return pts
 
 
@@ -350,8 +362,8 @@ def read_manifest(path, target_points) -> DatasetManifest:
         entry_id, spec, split = parts
         if spec.startswith("synth:"):
             try:
-                _synth_args(spec)
-            except ValueError as exc:
+                _check_synth_args(*_synth_args(spec))
+            except (ValueError, InvalidArgument) as exc:
                 raise ParseError(f"bad synth spec: {exc}", line=lineno)
         if entry_id in seen:
             raise ParseError(f"duplicate id {entry_id!r}", line=lineno)

@@ -77,6 +77,8 @@ class TrainConfig:
             raise InvalidArgument("epochs and batch_size must be positive")
         if self.checkpoint_every < 0:
             raise InvalidArgument("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,8 @@ def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
     ("train-decoder", "schedule", "beta_start = tiny"),
     ("train-decoder", "schedule", "beta_start = 0.9"),
     ("train-decoder", "run", "target_points = many"),
+    ("train-encoder", "train", "seed = -1"),
+    ("train-decoder", "train", "seed = -1"),
 ])
 def test_malformed_config_value_exits_2(workspace, capsys, command, section, line):
     ws, config, dec_config = workspace
@@ -204,6 +206,18 @@ def _residual_key(tmp):
                  id="manifest-synth-fields"),
     pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:abc:0:0"), 1,
                  id="manifest-synth-type"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:klein:64:0:0"), 1,
+                 id="manifest-synth-kind"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:0:0:0"), 1,
+                 id="manifest-synth-n-0"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:64:-1:0"), 1,
+                 id="manifest-synth-sigma-negative"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:64:nan:0"), 1,
+                 id="manifest-synth-sigma-nan"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:64:inf:0"), 1,
+                 id="manifest-synth-sigma-inf"),
+    pytest.param(lambda tmp: _bad_manifest(tmp, "synth:sphere:64:0:-1"), 1,
+                 id="manifest-synth-seed-negative"),
     pytest.param(lambda tmp: _bad_grid(tmp, "0"), 1, id="eval-grid-0"),
     pytest.param(lambda tmp: _bad_grid(tmp, "-3"), 1, id="eval-grid-negative"),
     pytest.param(lambda tmp: _residual_key(tmp), 2, id="config-schedule-residual"),
@@ -212,6 +226,61 @@ def test_malformed_input_exits_without_traceback(tmp_path, capsys, make_argv, co
     assert run(make_argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_CKPT_ARGS = ["--in", "c.ply", "--ckpt-decoder", "m.ckpt"]
+
+
+_SEEDED = {
+    "synth": ["--kind", "sphere", "--n", "8", "--out", "s.ply"],
+    "train-encoder": ["--config", "x.ini"],
+    "train-decoder": ["--config", "x.ini", "--ckpt-encoder", "e.ckpt"],
+    "reconstruct": _CKPT_ARGS,
+    "trace": _CKPT_ARGS,
+    "complete": _CKPT_ARGS,
+    "upsample": _CKPT_ARGS,
+    "compress": ["--in", "c.ply"],
+    "decompress": _CKPT_ARGS,
+}
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_must_be_a_non_negative_integer(capsys, command, seed):
+    argv = [command, *_SEEDED[command]]
+    cli.build_parser().parse_args(argv + ["--seed", "0"])  # valid but for the seed
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: expected a non-negative integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "train-decoder"])
+@pytest.mark.parametrize("flag, seed", [([], "5"), (["--seed", "3"], "3")])
+def test_train_seed_comes_from_the_config_unless_flagged(workspace, command, flag, seed):
+    ws, config, dec_config = workspace
+    argv = [command, "--out", str(ws / "o"), *flag]
+    if command == "train-decoder":
+        config = dec_config
+        cfg = toy_config(timesteps=3)
+        training.save_checkpoint(ws / "enc.ckpt", cfg, Model.create(cfg, seed=0).params)
+        argv += ["--ckpt-encoder", str(ws / "enc.ckpt")]
+    config.write_text(config.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
+    assert run(argv + ["--config", str(config)]) == 0
+    assert f"seed = {seed}" in (ws / "o" / "resolved_config.ini").read_text().splitlines()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf", "x"])
+def test_synth_sigma_must_be_finite_and_non_negative(tmp_path, capsys, sigma):
+    out = tmp_path / "s.ply"
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--kind", "sphere", "--n", "8", f"--sigma={sigma}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --sigma: expected a finite number >= 0" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_non_utf8_cloud_exits_1(tmp_path, capsys):
@@ -441,9 +510,6 @@ def test_reconstruct_determinism_via_cli(workspace):
         run(["reconstruct", "--in", str(cloud), "--out", str(out),
              "--ckpt-decoder", str(dec_dir / "decoder.ckpt"), "--seed", "7"])
     assert a.read_bytes() == b.read_bytes()
-
-
-_CKPT_ARGS = ["--in", "c.ply", "--ckpt-decoder", "m.ckpt"]
 
 
 @pytest.mark.parametrize("argv, removed", [

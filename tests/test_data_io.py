@@ -158,9 +158,83 @@ def test_sample_cube_matches_loop(n, seed):
     assert rng_a.uniform() == rng_b.uniform()
 
 
+def _sample_cylinder_loop(rng, n, radius, height):
+    """The per-point cylinder sampler the vectorised one replaced, kept as its oracle."""
+    side_area = 2 * np.pi * radius * height
+    cap_area = np.pi * radius**2
+    total = side_area + 2 * cap_area
+    pts = np.empty((n, 3))
+    which = rng.uniform(size=n) * total
+    theta = rng.uniform(0, 2 * np.pi, size=n)
+    for i in range(n):
+        if which[i] < side_area:
+            z = rng.uniform(-height / 2, height / 2)
+            pts[i] = [radius * np.cos(theta[i]), radius * np.sin(theta[i]), z]
+        else:
+            rr = radius * np.sqrt(rng.uniform())
+            z = height / 2 if which[i] < side_area + cap_area else -height / 2
+            pts[i] = [rr * np.cos(theta[i]), rr * np.sin(theta[i]), z]
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_cylinder_matches_loop(n, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(data_io._sample_cylinder(rng_a, n, radius=0.3, height=1.0),
+                          _sample_cylinder_loop(rng_b, n, radius=0.3, height=1.0))
+    # the same number of draws: the stream continues identically
+    assert rng_a.uniform() == rng_b.uniform()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_synth_cylinder_with_jitter_matches_loop(seed, monkeypatch):
+    got = data_io.synth_shape("cylinder", 700, noise_sigma=0.01, seed=seed)
+    monkeypatch.setattr(data_io, "_sample_cylinder", _sample_cylinder_loop)
+    want = data_io.synth_shape("cylinder", 700, noise_sigma=0.01, seed=seed)
+    assert np.array_equal(got.points, want.points)
+
+
+class _CountingRng:
+    """A Generator that counts the calls made on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("kind", data_io.SYNTH_KINDS)
+def test_synth_draw_calls_do_not_grow_with_n(kind, monkeypatch):
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingRng(default_rng(seed))) or made[-1])
+    calls = {}
+    for n in (64, 8192):
+        data_io.synth_shape(kind, n, noise_sigma=0.01, seed=5)
+        calls[n] = made[-1].calls
+    # whole-array draws; the torus may spend a few more rejection rounds (3 calls each)
+    assert calls[8192] <= calls[64] + 6, calls
+
+
 def test_synth_unknown_kind():
     with pytest.raises(InvalidArgument):
         data_io.synth_shape("klein-bottle", 10)
+
+
+@pytest.mark.parametrize("n, sigma, seed", [
+    (0, 0.0, 0), (64, -0.1, 0), (64, float("nan"), 0), (64, float("inf"), 0), (64, 0.0, -1),
+], ids=["n-0", "sigma-negative", "sigma-nan", "sigma-inf", "seed-negative"])
+def test_synth_rejects_bad_arguments(n, sigma, seed):
+    with pytest.raises(InvalidArgument):
+        data_io.synth_shape("sphere", n, noise_sigma=sigma, seed=seed)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -192,6 +266,8 @@ def test_manifest_rejects_duplicates_and_bad_rows(tmp_path):
 
 @pytest.mark.parametrize("spec", [
     "synth:sphere:64", "synth:sphere:abc:0:0", "synth:sphere:64:x:0", "synth:sphere:64:0:0:1",
+    "synth:klein:64:0:0", "synth:sphere:0:0:0", "synth:sphere:64:-0.1:0",
+    "synth:sphere:64:nan:0", "synth:sphere:64:inf:0", "synth:sphere:64:0:-1",
 ])
 def test_manifest_rejects_bad_synth_spec(tmp_path, spec):
     path = tmp_path / "bad.tsv"

@@ -63,6 +63,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(InvalidArgument):
         TrainConfig(checkpoint_every=-1)
+    with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     cfg = TrainConfig(loss_setting="masked_only")
     assert cfg.loss_setting is LossSetting.MASKED_ONLY
     # unknown names fail here, not later inside training as a bare ValueError

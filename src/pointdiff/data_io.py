@@ -185,21 +185,13 @@ def normalize(cloud: PointCloud):
     return PointCloud(centered / scale), NormalizationRecord(centroid=centroid, scale=scale)
 
 
-def resample(cloud: PointCloud, target, method="fps", seed=0) -> PointCloud:
-    """Exactly ``target`` points, by farthest-point or uniform sampling."""
+def resample(cloud: PointCloud, target) -> PointCloud:
+    """Exactly ``target`` of the cloud's points, by farthest-point sampling."""
     if target < 1:
         raise InvalidArgument(f"target must be >= 1, got {target}")
-    n = len(cloud)
-    if method == "fps":
-        if target > n:
-            raise InvalidArgument(f"fps resample cannot grow {n} points to {target}")
-        idx = geometry.fps(cloud, target, seed_index=0)
-    elif method == "random":
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, size=target, replace=target > n)
-    else:
-        raise InvalidArgument(f"unknown resample method {method!r}")
-    return PointCloud(cloud.points[idx])
+    if target > len(cloud):
+        raise InvalidArgument(f"fps resample cannot grow {len(cloud)} points to {target}")
+    return PointCloud(cloud.points[geometry.fps(cloud, target, seed_index=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +337,7 @@ def _resolve_entry(entry: ManifestEntry, target_points):
     else:
         cloud, _ = normalize(load_cloud(entry.spec))
     if len(cloud) != target_points:
-        cloud = resample(cloud, target_points, method="fps")
+        cloud = resample(cloud, target_points)
     return cloud
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonFiniteSample, ShapeError
+from .geometry import _rng
 
 RESIDUAL_SQRT_SIGMA = "sqrt_sigma"
 RESIDUAL_SIGMA = "sigma"
@@ -106,7 +107,7 @@ def sample(
     ``rng_seed``.  Raises ``NonFiniteSample`` naming the first t whose
     prediction or new state holds a NaN or an infinity.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     x = rng.standard_normal((n_points, 3))
     for t in range(schedule.T - 1, -1, -1):
         x_rec = np.asarray(decoder_fn(x, t), dtype=np.float64)

@@ -1,7 +1,8 @@
 """Minimal dense-tensor arithmetic with reverse-mode differentiation.
 
-Tensors wrap numpy arrays in the active precision (32- or 64-bit, selectable
-via ``set_precision`` or the POINTDIFF_PRECISION environment variable).
+Tensors wrap numpy arrays in the active precision: 32- or 64-bit, set by the
+POINTDIFF_PRECISION environment variable at import and switched for a block
+by ``precision(bits)``.
 Every primitive records a backward rule, except inside ``no_grad()``;
 ``backward`` walks the recorded graph in reverse topological order.
 Broadcasting is the usual numpy kind restricted in practice to leading batch
@@ -25,14 +26,6 @@ if _precision_bits not in _DTYPES:
     raise InvalidArgument(f"POINTDIFF_PRECISION must be 32 or 64, got {_precision_bits}")
 
 
-def set_precision(bits):
-    """Select the global floating-point width (32 or 64)."""
-    global _precision_bits
-    if bits not in _DTYPES:
-        raise InvalidArgument(f"precision must be 32 or 64, got {bits}")
-    _precision_bits = bits
-
-
 def get_precision():
     return _precision_bits
 
@@ -43,13 +36,16 @@ def get_dtype():
 
 @contextmanager
 def precision(bits):
-    """Temporarily switch precision (used by gradient-check suites)."""
-    prev = _precision_bits
-    set_precision(bits)
+    """Compute in ``bits`` (32 or 64) inside the block, then restore the
+    previous width."""
+    global _precision_bits
+    if bits not in _DTYPES:
+        raise InvalidArgument(f"precision must be 32 or 64, got {bits}")
+    prev, _precision_bits = _precision_bits, bits
     try:
         yield
     finally:
-        set_precision(prev)
+        _precision_bits = prev
 
 
 class Tensor:
@@ -415,37 +411,6 @@ def backward(loss, params=None):
 def zero_grads(params):
     for t in params.values():
         t.grad = None
-
-
-def grad_check(f, point, h=None, atol=0.0):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a Tensor to a scalar Tensor.  Runs in the active precision;
-    call under ``precision(64)`` for meaningful results.  Entries whose
-    absolute analytic/numeric discrepancy is at most ``atol`` are ignored —
-    structurally-zero gradients (e.g. parameters a softmax is invariant to)
-    leave only rounding noise, where a relative error is meaningless.
-    """
-    point = as_tensor(point)
-    probe = Tensor(point.data.copy(), requires_grad=True)
-    loss = f(probe)
-    backward(loss)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    flat = point.data.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        step = h if h is not None else 1e-5 * (1.0 + abs(flat[i]))
-        for sign in (+1.0, -1.0):
-            shifted = flat.copy()
-            shifted[i] += sign * step
-            val = f(Tensor(shifted.reshape(point.data.shape))).item()
-            numeric[i] += sign * val / (2.0 * step)
-    numeric = numeric.reshape(point.data.shape)
-
-    gap = np.abs(analytic - numeric)
-    rel = gap / (np.abs(analytic) + np.abs(numeric) + 1e-12)
-    return float(np.max(np.where(gap <= atol, 0.0, rel)))
 
 
 # ---------------------------------------------------------------------------

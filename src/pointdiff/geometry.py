@@ -373,6 +373,16 @@ def segment(cloud: PointCloud, num_groups: int, group_size: int) -> PatchSet:
     return PatchSet(centers=centers, patches=patches)
 
 
+def _rng(seed):
+    """``np.random.default_rng(seed)`` for an int seed or a sequence of them;
+    a negative entry raises ``InvalidArgument`` rather than numpy's
+    ``ValueError``."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise InvalidArgument(f"seed must be >= 0, got {seed!r}") from None
+
+
 def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
     """Draw a masked/visible split of the patch indices.
 
@@ -389,7 +399,7 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
             f"degenerate mask: round({ratio}*{num_groups})={m} leaves no masked or visible patches"
         )
 
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     indicator = np.zeros(num_groups, dtype=bool)
     if strategy is MaskStrategy.RANDOM:
         masked = rng.choice(num_groups, size=m, replace=False)

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Tensor
 from .errors import InvalidArgument, ShapeError
-from .geometry import MaskSpec, apply_mask
+from .geometry import MaskSpec, _rng, apply_mask
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def param_layout(cfg: ModelConfig):
 def init_params(cfg: ModelConfig, seed=0):
     """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases,
     unit gains."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     p = {}
     for name, shape in param_layout(cfg):
         if name.endswith(".w"):

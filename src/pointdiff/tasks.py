@@ -158,7 +158,6 @@ class CompressedBlob:
     indicator: np.ndarray  # (G,) bool
     visible_points: np.ndarray  # (N_v, 3) dequantized absolute coordinates
     centers: np.ndarray  # (G, 3) dequantized
-    raw: bytes
 
 
 def _quantize(points, lo, extent, q):
@@ -249,7 +248,6 @@ def parse_blob(raw: bytes) -> CompressedBlob:
         indicator=indicator,
         visible_points=_dequantize(idx[:n_vis], lo, extent, q),
         centers=_dequantize(idx[n_vis:], lo, extent, q),
-        raw=raw,
     )
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -136,16 +136,10 @@ def _absolute(patches, centers):
 # checkpoint format
 
 
-@dataclass
-class Checkpoint:
-    config: dict
-    tensors: dict  # name -> float32 ndarray
-    extra: dict = field(default_factory=dict)
-
-
-def save_checkpoint(path, model_cfg: ModelConfig, params, extra=None):
-    """Serialize parameters: header, JSON config, tensor manifest, little-
-    endian float32 payload, sha256 digest.
+def save_checkpoint(path, model_cfg: ModelConfig, params):
+    """Serialize parameters: header, JSON metadata (the model config and an
+    empty ``extra`` dict), tensor manifest, little-endian float32 payload,
+    sha256 digest.
 
     The header and then each tensor go through one incremental digest into
     ``path.tmp``, which replaces ``path`` once complete; a failed save
@@ -154,8 +148,7 @@ def save_checkpoint(path, model_cfg: ModelConfig, params, extra=None):
     """
     names = sorted(params)
     arrays = [params[n].data if isinstance(params[n], Tensor) else params[n] for n in names]
-    meta_bytes = json.dumps({"model": model_cfg.to_dict(), "extra": extra or {}},
-                            sort_keys=True).encode()
+    meta_bytes = json.dumps({"model": model_cfg.to_dict(), "extra": {}}, sort_keys=True).encode()
     digest = hashlib.sha256()
     tmp = f"{path}.tmp"
     try:
@@ -263,6 +256,7 @@ def _read_header(body):
             manifest.append((name, struct.unpack(f"<{ndim}I", body.take(4 * ndim))))
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, a non-UTF-8 name
         raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from exc
+    # files written earlier may carry any ``extra`` dict; nothing reads it
     if not (isinstance(meta, dict) and isinstance(meta.get("model"), dict)
             and isinstance(meta.get("extra", {}), dict)):
         raise CorruptCheckpoint(f"{path}: metadata lacks a model config")
@@ -270,13 +264,6 @@ def _read_header(body):
     if payload != left:
         raise CorruptCheckpoint(f"{path}: manifest declares {payload} tensor bytes, body holds {left}")
     return meta, manifest
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with _checkpoint_body(path) as body:
-        meta, manifest = _read_header(body)
-        tensors = {name: body.array(shape) for name, shape in manifest}
-    return Checkpoint(config=meta["model"], tensors=tensors, extra=meta.get("extra", {}))
 
 
 def load_model(path) -> Model:
@@ -317,14 +304,6 @@ def _check_layout(cfg: ModelConfig, stored):
             )
         layout.append(name)
     return layout
-
-
-def params_from_tensors(cfg: ModelConfig, tensors):
-    """The parameter dict of ``cfg`` (``model.param_layout``) holding the
-    stored ``tensors`` in the active dtype; every name and shape is checked
-    (``_check_layout``) before any parameter is made."""
-    layout = _check_layout(cfg, ((name, t.shape) for name, t in tensors.items()))
-    return {name: eg.parameter(tensors[name], name=name) for name in layout}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointdiff import data_io, metrics
+from pointdiff import engine as eg
 from pointdiff.model import ModelConfig
 
 
@@ -30,6 +31,41 @@ def sphere_cloud():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# ---------------------------------------------------------------------------
+# the gradient oracle: central differences against ``engine.backward``
+
+
+def grad_check(f, point, h=None, atol=0.0):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps a Tensor to a scalar Tensor.  Runs in the active precision;
+    call under ``engine.precision(64)`` for meaningful results.  Entries whose
+    absolute analytic/numeric discrepancy is at most ``atol`` are ignored —
+    structurally-zero gradients (e.g. parameters a softmax is invariant to)
+    leave only rounding noise, where a relative error is meaningless.
+    """
+    point = eg.as_tensor(point)
+    probe = eg.Tensor(point.data.copy(), requires_grad=True)
+    loss = f(probe)
+    eg.backward(loss)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+
+    flat = point.data.ravel()
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        step = h if h is not None else 1e-5 * (1.0 + abs(flat[i]))
+        for sign in (+1.0, -1.0):
+            shifted = flat.copy()
+            shifted[i] += sign * step
+            val = f(eg.Tensor(shifted.reshape(point.data.shape))).item()
+            numeric[i] += sign * val / (2.0 * step)
+    numeric = numeric.reshape(point.data.shape)
+
+    gap = np.abs(analytic - numeric)
+    rel = gap / (np.abs(analytic) + np.abs(numeric) + 1e-12)
+    return float(np.max(np.where(gap <= atol, 0.0, rel)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_chamfer, brute_hausdorff
+from conftest import brute_chamfer, brute_hausdorff, grad_check
 from pointdiff import data_io, diffusion, engine as eg, metrics, tasks, training
 from pointdiff.diffusion import RESIDUAL_SIGMA, RESIDUAL_SQRT_SIGMA
 from pointdiff.engine import Tensor
@@ -153,7 +153,7 @@ def test_criterion_03_gradient_suite(capfd):
         ]
         C = rng.normal(size=(3, 4))
         for f in cases:
-            worst = max(worst, eg.grad_check(f, Tensor(rng.normal(size=(3, 4)))))
+            worst = max(worst, grad_check(f, Tensor(rng.normal(size=(3, 4)))))
 
         # full training loss on the toy model: L=8, one block each side,
         # G=4 patches of 4 points
@@ -188,7 +188,7 @@ def test_criterion_03_gradient_suite(capfd):
 
             # atol guards structurally-zero gradients (attention key biases
             # cancel exactly inside softmax) where FD leaves rounding noise
-            worst = max(worst, eg.grad_check(f, Tensor(params[name].data), atol=1e-8))
+            worst = max(worst, grad_check(f, Tensor(params[name].data), atol=1e-8))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 120.0
     report(capfd, 3, "gradient suite (primitives + full loss)", ok,

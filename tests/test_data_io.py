@@ -109,17 +109,14 @@ def test_normalize_and_invert(rng):
     assert np.allclose(restored.points, cloud.points, atol=1e-10)
 
 
-def test_resample_fps_and_random(sphere_cloud):
-    down = data_io.resample(sphere_cloud, 32, method="fps")
+def test_resample_fps(sphere_cloud):
+    down = data_io.resample(sphere_cloud, 32)
     assert len(down) == 32
     # fps output is a subset of the input
     d2 = np.sum((down.points[:, None] - sphere_cloud.points[None]) ** 2, axis=2)
     assert np.min(d2, axis=1).max() == 0.0
-
-    up = data_io.resample(sphere_cloud, 200, method="random", seed=4)
-    assert len(up) == 200
     with pytest.raises(InvalidArgument):
-        data_io.resample(sphere_cloud, 200, method="fps")
+        data_io.resample(sphere_cloud, 200)
 
 
 @pytest.mark.parametrize("kind", data_io.SYNTH_KINDS)

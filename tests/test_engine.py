@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pointdiff
+from conftest import grad_check
 from pointdiff import engine as eg
 from pointdiff.engine import Tensor
 from pointdiff.errors import InvalidArgument, ShapeError
@@ -18,6 +20,13 @@ def test_precision_switch():
         assert Tensor(np.ones(3)).data.dtype == np.float32
     with eg.precision(64):
         assert eg.get_dtype() == np.float64
+    with pytest.raises(InvalidArgument, match="precision must be 32 or 64"):
+        with eg.precision(16):
+            pass
+    with pytest.raises(KeyError):
+        with pointdiff.precision(32):
+            raise KeyError
+    assert eg.get_dtype() == np.float64  # restored on the way out of both blocks
 
 
 def test_forward_values(rng):
@@ -110,7 +119,7 @@ PRIMITIVE_CASES = [
 def test_primitive_grad_check(name, builder, shape, rng):
     point = rng.normal(size=shape)
     coeff = rng.normal(size=shape)
-    err = eg.grad_check(lambda t: builder(t, coeff), Tensor(point))
+    err = grad_check(lambda t: builder(t, coeff), Tensor(point))
     assert err < 1e-6, f"{name}: relative error {err}"
 
 
@@ -121,7 +130,7 @@ def test_embedding_lookup_grad(rng):
     def f(t):
         return eg.sum_(eg.mul(eg.embedding_lookup(t, idx), eg.embedding_lookup(t, idx)))
 
-    assert eg.grad_check(f, Tensor(table)) < 1e-6
+    assert grad_check(f, Tensor(table)) < 1e-6
 
 
 def test_concat_split_grad(rng):
@@ -132,7 +141,7 @@ def test_concat_split_grad(rng):
         joined = eg.concat([b, a], axis=0)
         return eg.sum_(eg.mul(joined, joined))
 
-    assert eg.grad_check(f, Tensor(x)) < 1e-6
+    assert grad_check(f, Tensor(x)) < 1e-6
 
 
 def test_matmul_batched_grad(rng):
@@ -145,8 +154,8 @@ def test_matmul_batched_grad(rng):
     def f_w(t):
         return eg.sum_(eg.mul(eg.matmul(Tensor(x), t), eg.matmul(Tensor(x), t)))
 
-    assert eg.grad_check(f_x, Tensor(x)) < 1e-6
-    assert eg.grad_check(f_w, Tensor(w)) < 1e-6
+    assert grad_check(f_x, Tensor(x)) < 1e-6
+    assert grad_check(f_w, Tensor(w)) < 1e-6
 
 
 def test_matmul_shape_error():

@@ -102,7 +102,7 @@ def _duplicates(rng):
 
 @pytest.mark.parametrize("margin", [1, 100, None, 0])
 @pytest.mark.parametrize("k", [1, 7, 100, 512])
-def test_knn_group_partition_matches_stable_argsort_on_tied_grid(rng, k, margin):
+def test_knn_group_matches_stable_argsort_on_tied_grid(rng, k, margin):
     # a 1/8 grid: every center has many points at each of a few distances,
     # so the k-th distance is almost always tied; k = 512 is the whole cloud.
     # The candidate margin moves rows between the KD-tree and the dense

@@ -4,13 +4,21 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pointdiff"
+REPO = SRC.parent.parent
+
+# public names whose one caller lives outside the package: module:name -> that file
+OUTSIDE_CALLERS = {
+    "metrics:chamfer_l2": "bench/workloads.py",
+    "metrics:hausdorff": "bench/workloads.py",
+}
 
 
-def _top_level_references():
-    """Every module-level statement of the package as (module, statement,
-    names it references as a ``Name``, an ``Attribute`` or an import alias)."""
+def _top_level_references(paths=None):
+    """Every module-level statement of the package (or of ``paths``) as
+    (module, statement, names it references as a ``Name``, an ``Attribute``
+    or an import alias)."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) if paths is None else paths:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             names = set()
             for node in ast.walk(stmt):
@@ -24,15 +32,29 @@ def _top_level_references():
     return out
 
 
-def test_every_private_helper_has_a_caller():
-    # a module-level ``_name`` function or class is referenced by some other
-    # statement of the package; a reference from inside its own body does not count
+def _uncalled(private):
+    """``module:name`` of each module-level function or class, private or
+    public as asked, that no other statement of the package references; a
+    reference from inside its own body does not count, an import in
+    ``__init__`` does."""
     statements = _top_level_references()
-    unused = [
-        f"{module}:{stmt.name}"
+    return [
+        f"{module[:-3]}:{stmt.name}"
         for module, stmt, _ in statements
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
+        and stmt.name.startswith("_") == private
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
-    assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    assert _uncalled(private=True) == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public name no statement of the package references is on the
+    # allow-list, and the file the list names does reference it
+    assert sorted(_uncalled(private=False)) == sorted(OUTSIDE_CALLERS)
+    for qualified, caller in OUTSIDE_CALLERS.items():
+        names = set().union(*(n for _, _, n in _top_level_references([REPO / caller])))
+        assert qualified.split(":")[1] in names, f"{caller} does not call {qualified}"

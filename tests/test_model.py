@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_config
+from conftest import grad_check, toy_config
 from pointdiff import data_io, engine as eg
 from pointdiff import model as mdl
 from pointdiff.engine import Tensor
@@ -261,4 +261,4 @@ def test_batched_transformer_block_gradient(rng):
         out = mdl.transformer_block(params, x, "enc.block0", cfg.enc_heads)
         return eg.sum_(eg.mul(out, Tensor(weights)))
 
-    assert eg.grad_check(f, Tensor(rng.normal(size=(2, 5, cfg.latent_width)))) < 1e-6
+    assert grad_check(f, Tensor(rng.normal(size=(2, 5, cfg.latent_width)))) < 1e-6

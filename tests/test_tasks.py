@@ -64,7 +64,7 @@ def test_complete_arity(sphere_cloud):
     cfg = model.cfg
     m = mask_count(cfg.mask_ratio, cfg.num_groups)
     v = cfg.num_groups - m
-    partial = data_io.resample(sphere_cloud, v * cfg.group_size, method="fps")
+    partial = data_io.resample(sphere_cloud, v * cfg.group_size)
     centers = np.zeros((m, 3))
     out = tasks.complete(partial, model, schedule, masked_centers=centers)
     assert len(out) == v * cfg.group_size + m * cfg.patch_points
@@ -77,7 +77,7 @@ def test_complete_validates_input(sphere_cloud):
     cfg = model.cfg
     m = mask_count(cfg.mask_ratio, cfg.num_groups)
     v = cfg.num_groups - m
-    partial = data_io.resample(sphere_cloud, v * cfg.group_size, method="fps")
+    partial = data_io.resample(sphere_cloud, v * cfg.group_size)
     # position embeddings are on, so masked centers are required
     with pytest.raises(InvalidArgument):
         tasks.complete(partial, model, schedule)
@@ -90,7 +90,7 @@ def test_complete_without_position_embedding(sphere_cloud):
     cfg = model.cfg
     m = mask_count(cfg.mask_ratio, cfg.num_groups)
     v = cfg.num_groups - m
-    partial = data_io.resample(sphere_cloud, v * cfg.group_size, method="fps")
+    partial = data_io.resample(sphere_cloud, v * cfg.group_size)
     out = tasks.complete(partial, model, schedule)
     assert len(out) == v * cfg.group_size + m * cfg.patch_points
 
@@ -139,10 +139,11 @@ def test_config1_mixed_block_sizes_land_at_their_patches(sphere_cloud, monkeypat
     out = tasks.reconstruct(sphere_cloud, model, schedule, seed=2)
     assert np.array_equal(out.points, _in_patch_order(ps.centers, ps.patches[vis], vis, rows, msk))
 
-    blob = tasks.parse_blob(tasks.compress(sphere_cloud, cfg, mask_seed=1))
+    raw = tasks.compress(sphere_cloud, cfg, mask_seed=1)
+    blob = tasks.parse_blob(raw)
     vis, msk = np.flatnonzero(~blob.indicator), np.flatnonzero(blob.indicator)
     visible = blob.visible_points.reshape(-1, cfg.group_size, 3) - blob.centers[vis][:, None]
-    out = tasks.decompress(blob.raw, model, schedule, seed=1)
+    out = tasks.decompress(raw, model, schedule, seed=1)
     assert np.array_equal(out.points, _in_patch_order(blob.centers, visible, vis, rows, msk))
 
     partial = PointCloud(ps.absolute(vis).reshape(-1, 3))
@@ -201,6 +202,28 @@ def test_cloud_smaller_than_g_keeps_segments_error(tmp_path, capsys, task):
     data_io.save_cloud(data_io.synth_shape("sphere", 63, seed=1), path)
     assert cli.main(["compress", "--in", str(path)]) == 1
     assert capsys.readouterr().err == "error: segment: G=64 exceeds cloud size 63\n"
+
+
+@pytest.mark.parametrize("entry", ["compress", "reconstruct", "complete", "upsample",
+                                   "decompress", "model-create"])
+def test_negative_seed_is_invalid_argument(sphere_cloud, entry):
+    # numpy's default_rng would raise a bare ValueError
+    model, schedule = make_model(predict_visible=True)
+    cfg = model.cfg
+    m = mask_count(cfg.mask_ratio, cfg.num_groups)
+    partial = data_io.resample(sphere_cloud, (cfg.num_groups - m) * cfg.group_size)
+    raw = tasks.compress(sphere_cloud, cfg)
+    calls = {
+        "compress": lambda: tasks.compress(sphere_cloud, cfg, mask_seed=-1),
+        "reconstruct": lambda: tasks.reconstruct(sphere_cloud, model, schedule, seed=-1),
+        "complete": lambda: tasks.complete(partial, model, schedule, seed=-1,
+                                           masked_centers=np.zeros((m, 3))),
+        "upsample": lambda: tasks.upsample(sphere_cloud, model, schedule, seed=-1),
+        "decompress": lambda: tasks.decompress(raw, model, schedule, seed=-1),
+        "model-create": lambda: Model.create(cfg, seed=-1),
+    }
+    with pytest.raises(InvalidArgument, match=r"^seed must be >= 0, got -1$"):
+        calls[entry]()
 
 
 def test_upsample_requires_config2(sphere_cloud):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_config
+from conftest import grad_check, toy_config
 from pointdiff import data_io, diffusion, engine as eg, training
 from pointdiff.engine import Tensor
 from pointdiff.errors import (
@@ -48,7 +48,7 @@ def test_chamfer_loss_value_matches_metric(rng):
 def test_chamfer_loss_gradient(rng):
     targets = [rng.normal(size=(12, 3)), rng.normal(size=(7, 3))]
     point = rng.normal(size=(2, 10, 3))
-    err = eg.grad_check(lambda t: training.chamfer_loss(t, targets), Tensor(point))
+    err = grad_check(lambda t: training.chamfer_loss(t, targets), Tensor(point))
     assert err < 1e-5
 
 
@@ -79,22 +79,18 @@ def test_checkpoint_round_trip(tmp_path):
     cfg = toy_config()
     model = Model.create(cfg, seed=1)
     path = tmp_path / "m.ckpt"
-    training.save_checkpoint(path, cfg, model.params, extra={"note": "x"})
-    ckpt = training.load_checkpoint(path)
-    assert ckpt.config == cfg.to_dict()
-    assert ckpt.extra == {"note": "x"}
-    assert set(ckpt.tensors) == set(model.params)
-    for name, arr in ckpt.tensors.items():
-        # payload is float32; loading compares against the rounded original
-        assert np.array_equal(arr, model.params[name].data.astype(np.float32))
-
-    reloaded = training.load_model(path)
-    assert reloaded.cfg == cfg
-    for name in model.params:
-        assert np.array_equal(
-            reloaded.params[name].data,
-            model.params[name].data.astype(np.float32).astype(np.float64),
-        )
+    training.save_checkpoint(path, cfg, model.params)
+    # the payload is float32: at 32 bit the stored values come back exactly,
+    # at 64 bit they are widened without rounding
+    for bits, dtype in ((32, np.float32), (64, np.float64)):
+        with eg.precision(bits):
+            reloaded = training.load_model(path)
+        assert reloaded.cfg == cfg
+        assert list(reloaded.params) == list(model.params)
+        for name, param in model.params.items():
+            got = reloaded.params[name].data
+            assert got.dtype == dtype
+            assert np.array_equal(got, param.data.astype(np.float32).astype(dtype))
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
@@ -118,17 +114,17 @@ def test_checkpoint_corruption_detected(tmp_path):
     flipped[len(flipped) // 2] ^= 0xFF
     bad.write_bytes(bytes(flipped))
     with pytest.raises(CorruptCheckpoint):
-        training.load_checkpoint(bad)
+        training.load_model(bad)
 
     # truncate
     bad.write_bytes(bytes(raw[: len(raw) // 2]))
     with pytest.raises(CorruptCheckpoint):
-        training.load_checkpoint(bad)
+        training.load_model(bad)
 
     # wrong magic
     bad.write_bytes(b"XXXX" + bytes(raw[4:]))
     with pytest.raises(CorruptCheckpoint):
-        training.load_checkpoint(bad)
+        training.load_model(bad)
 
 
 def _resign(body):
@@ -149,7 +145,7 @@ def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "v.ckpt"
     path.write_bytes(_resign(body))
     with pytest.raises(UnsupportedVersion):
-        training.load_checkpoint(path)
+        training.load_model(path)
 
 
 def _with_model_config(body, edit):
@@ -182,7 +178,7 @@ def test_checkpoint_with_deeply_nested_metadata(tmp_path):
     path.write_bytes(_resign(b"PDCK" + struct.pack("<II", 1, len(meta)) + meta
                              + struct.pack("<I", 0)))
     with pytest.raises(CorruptCheckpoint):
-        training.load_checkpoint(path)
+        training.load_model(path)
 
 
 def test_checkpoint_with_tensor_rank_beyond_numpy(tmp_path):
@@ -195,7 +191,7 @@ def test_checkpoint_with_tensor_rank_beyond_numpy(tmp_path):
     path = tmp_path / "rank.ckpt"
     path.write_bytes(_resign(body))
     with pytest.raises(CorruptCheckpoint):
-        training.load_checkpoint(path)
+        training.load_model(path)
 
 
 @settings(max_examples=150, deadline=None,
@@ -216,24 +212,25 @@ def test_forged_checkpoints_raise_only_library_errors(tmp_path, data):
         body[pos : pos + 4] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
     path = tmp_path / "forged.ckpt"
     path.write_bytes(_resign(body))
-    for load in (training.load_checkpoint, training.load_model):
-        try:
-            load(path)
-        except PointdiffError:
-            pass
+    try:
+        training.load_model(path)
+    except PointdiffError:
+        pass
 
 
-def test_load_tensors_shape_mismatch():
+def test_load_tensors_shape_mismatch(tmp_path):
     cfg = toy_config()
-    model = Model.create(cfg, seed=0)
-    tensors = {k: v.data.astype(np.float32) for k, v in model.params.items()}
-    tensors["enc.head.w"] = np.zeros((2, 2), dtype=np.float32)
-    with pytest.raises(InvalidArgument) as exc:
-        training.params_from_tensors(cfg, tensors)
+    params = dict(Model.create(cfg, seed=0).params)
+    params["enc.head.w"] = Tensor(np.zeros((2, 2)))
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_reference_v1(cfg, params, {}))
+    with pytest.raises(CorruptCheckpoint) as exc:
+        training.load_model(path)
     assert "enc.head.w" in str(exc.value)
-    del tensors["enc.head.w"]
-    with pytest.raises(InvalidArgument, match="missing tensor 'enc.head.w'"):
-        training.params_from_tensors(cfg, tensors)
+    del params["enc.head.w"]
+    path.write_bytes(_reference_v1(cfg, params, {}))
+    with pytest.raises(CorruptCheckpoint, match="missing tensor 'enc.head.w'"):
+        training.load_model(path)
 
 
 def test_load_model_work_is_bounded_by_the_file(tmp_path, monkeypatch):
@@ -282,8 +279,22 @@ def test_checkpoint_file_is_the_v1_format_byte_for_byte(tmp_path, bits):
     cfg = toy_config()
     with eg.precision(bits):
         model = Model.create(cfg, seed=4)
-        training.save_checkpoint(tmp_path / "m.ckpt", cfg, model.params, extra={"note": "x"})
-    assert (tmp_path / "m.ckpt").read_bytes() == _reference_v1(cfg, model.params, {"note": "x"})
+        training.save_checkpoint(tmp_path / "m.ckpt", cfg, model.params)
+    assert (tmp_path / "m.ckpt").read_bytes() == _reference_v1(cfg, model.params, {})
+
+
+def test_v1_file_with_extra_metadata_loads_bitwise(tmp_path):
+    # files written before ``save_checkpoint`` lost its ``extra=`` argument
+    # may carry a non-empty ``extra`` dict; the reader accepts and skips it
+    cfg = toy_config()
+    model = Model.create(cfg, seed=4)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_reference_v1(cfg, model.params, {"note": "x"}))
+    reloaded = training.load_model(path)
+    assert reloaded.cfg == cfg
+    for name, param in model.params.items():
+        assert np.array_equal(reloaded.params[name].data,
+                              param.data.astype(np.float32).astype(np.float64))
 
 
 def _traced_peak(fn):
@@ -325,9 +336,8 @@ def test_unsigned_damage_to_the_version_reads_as_digest_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 999)  # the digest still signs version 1
     path.write_bytes(bytes(raw))
-    for load in (training.load_checkpoint, training.load_model):
-        with pytest.raises(CorruptCheckpoint, match="digest mismatch"):
-            load(path)
+    with pytest.raises(CorruptCheckpoint, match="digest mismatch"):
+        training.load_model(path)
 
 
 def test_tensor_larger_than_the_file_is_rejected_before_allocation(tmp_path):
@@ -338,10 +348,9 @@ def test_tensor_larger_than_the_file_is_rejected_before_allocation(tmp_path):
     body[first_dim : first_dim + 4] = struct.pack("<I", 2**31)  # an 8+ GiB tensor
     path = tmp_path / "big.ckpt"
     path.write_bytes(_resign(body))
-    for load in (training.load_checkpoint, training.load_model):
-        err, peak = _traced_peak(lambda: load(path))
-        assert isinstance(err, CorruptCheckpoint)
-        assert peak < 1 << 20
+    err, peak = _traced_peak(lambda: training.load_model(path))
+    assert isinstance(err, CorruptCheckpoint)
+    assert peak < 1 << 20
 
 
 def test_failed_save_leaves_no_tmp_file(tmp_path):

@@ -50,14 +50,17 @@ class UsageError(PointdiffError):
 
 def load_run_config(path, command):
     """Parse the sectioned key=value config file of ``command``; a section
-    or key that ``CONFIG_KEYS[command]`` does not name is a usage error."""
+    or key that ``CONFIG_KEYS[command]`` does not name is a usage error, and
+    a byte that is not UTF-8 a ParseError naming its line."""
+    try:
+        text = data_io._read_text(path)
+    except OSError:
+        raise UsageError(f"config file not found: {path}") from None
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # a repeated key, no section header, ...
         raise UsageError("malformed config file: " + " ".join(str(exc).split())) from None
-    if not read:
-        raise UsageError(f"config file not found: {path}")
     known = CONFIG_KEYS[command]
     out = {section: {} for section in known}
     for section in parser.sections():

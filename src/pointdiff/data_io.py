@@ -191,7 +191,7 @@ def resample(cloud: PointCloud, target) -> PointCloud:
         raise InvalidArgument(f"target must be >= 1, got {target}")
     if target > len(cloud):
         raise InvalidArgument(f"fps resample cannot grow {len(cloud)} points to {target}")
-    return PointCloud(cloud.points[geometry.fps(cloud, target, seed_index=0)])
+    return PointCloud(cloud.points[geometry.fps(cloud, target)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +311,11 @@ class DatasetManifest:
     entries: tuple
     target_points: int
 
-    def load(self, split=None):
-        """Materialize clouds (normalized, resampled to target_points)."""
-        clouds = []
-        for entry in self.entries:
-            if split is not None and entry.split != split:
-                continue
-            clouds.append((entry.entry_id, _resolve_entry(entry, self.target_points)))
-        return clouds
+    def load(self, split):
+        """The ``(id, cloud)`` pairs of ``split``'s entries, each cloud
+        normalized and resampled to target_points."""
+        return [(entry.entry_id, _resolve_entry(entry, self.target_points))
+                for entry in self.entries if entry.split == split]
 
 
 def _synth_args(spec):

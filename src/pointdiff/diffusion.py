@@ -1,9 +1,11 @@
 """Noise schedule, forward corruption and the reverse sampling loop.
 
-The reverse step follows the released-code form: the model predicts the
-clean points directly and the update adds a deterministic sqrt(sigma_t)
-scaled copy of that prediction (no fresh Gaussian draw).  The written-form
-variant (sigma_t instead of its square root) is kept behind a flag.
+The model predicts the clean points directly, and each reverse step adds a
+deterministic copy of that prediction (no fresh Gaussian draw).  The
+schedule picks the copy's scale: sqrt(sigma_t), as in the released code, by
+default, or sigma_t, as the paper's text writes it.  ``build_schedule``
+checks the choice once; ``reverse_step`` and ``sample`` read it from the
+schedule.
 """
 
 from __future__ import annotations
@@ -29,14 +31,19 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     alpha_bar_prev: np.ndarray  # alpha_bar shifted by one, with value 1 at t=0
     sigma: np.ndarray  # 1 - alpha_bar
+    residual: str  # RESIDUAL_SQRT_SIGMA or RESIDUAL_SIGMA
 
 
-def build_schedule(T, beta_start=1e-4, beta_end=0.05) -> NoiseSchedule:
-    """Linear beta schedule; cumulative products computed in 64-bit."""
+def build_schedule(T, beta_start=1e-4, beta_end=0.05,
+                   residual=RESIDUAL_SQRT_SIGMA) -> NoiseSchedule:
+    """Linear beta schedule; cumulative products computed in 64-bit.
+    ``residual`` names the reverse chain's variant."""
     if T < 1:
         raise InvalidArgument(f"T must be >= 1, got {T}")
     if not 0.0 < beta_start < beta_end < 1.0:
         raise InvalidArgument(f"need 0 < beta_start < beta_end < 1, got [{beta_start}, {beta_end}]")
+    if residual not in (RESIDUAL_SQRT_SIGMA, RESIDUAL_SIGMA):
+        raise InvalidArgument(f"unknown residual variant {residual!r}")
     if T == 1:
         beta = np.array([beta_start], dtype=np.float64)
     else:
@@ -53,6 +60,7 @@ def build_schedule(T, beta_start=1e-4, beta_end=0.05) -> NoiseSchedule:
         alpha_bar=alpha_bar,
         alpha_bar_prev=alpha_bar_prev,
         sigma=sigma,
+        residual=residual,
     )
 
 
@@ -68,7 +76,7 @@ def q_sample(x0, t, eps, schedule: NoiseSchedule):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def reverse_step(x_t, t, x_rec, schedule: NoiseSchedule, residual=RESIDUAL_SQRT_SIGMA):
+def reverse_step(x_t, t, x_rec, schedule: NoiseSchedule):
     """One reverse update from x_t to x_{t-1} given the clean prediction."""
     x_t = np.asarray(x_t, dtype=np.float64)
     x_rec = np.asarray(x_rec, dtype=np.float64)
@@ -76,8 +84,6 @@ def reverse_step(x_t, t, x_rec, schedule: NoiseSchedule, residual=RESIDUAL_SQRT_
         raise ShapeError.mismatch("reverse_step", x_t.shape, x_rec.shape)
     if not 0 <= t < schedule.T:
         raise InvalidArgument(f"timestep {t} out of range [0, {schedule.T})")
-    if residual not in (RESIDUAL_SQRT_SIGMA, RESIDUAL_SIGMA):
-        raise InvalidArgument(f"unknown residual variant {residual!r}")
 
     denom = 1.0 - schedule.alpha_bar[t]
     c_xt = np.sqrt(schedule.alpha[t]) * (1.0 - schedule.alpha_bar_prev[t]) / denom
@@ -86,18 +92,11 @@ def reverse_step(x_t, t, x_rec, schedule: NoiseSchedule, residual=RESIDUAL_SQRT_
     if t == 0:
         return model_mean
     s = schedule.sigma[t]
-    coeff = np.sqrt(s) if residual == RESIDUAL_SQRT_SIGMA else s
+    coeff = np.sqrt(s) if schedule.residual == RESIDUAL_SQRT_SIGMA else s
     return model_mean + coeff * x_rec
 
 
-def sample(
-    decoder_fn,
-    n_points,
-    schedule: NoiseSchedule,
-    rng_seed=0,
-    residual=RESIDUAL_SQRT_SIGMA,
-    on_step=None,
-):
+def sample(decoder_fn, n_points, schedule: NoiseSchedule, rng_seed=0, on_step=None):
     """Full reverse chain from Gaussian noise to a clean prediction.
 
     ``decoder_fn`` maps (x_t of shape (n_points, 3), t) to the clean-point
@@ -113,7 +112,7 @@ def sample(
         x_rec = np.asarray(decoder_fn(x, t), dtype=np.float64)
         if x_rec.shape != x.shape:
             raise ShapeError.mismatch("sample: decoder output", x_rec.shape, x.shape)
-        x = reverse_step(x, t, x_rec, schedule, residual=residual)
+        x = reverse_step(x, t, x_rec, schedule)
         # every coefficient on x_rec is positive, so a non-finite prediction
         # always leaves a non-finite state: one check covers both
         if not np.isfinite(x).all():

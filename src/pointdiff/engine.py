@@ -55,15 +55,14 @@ class Tensor:
     ``backward`` for tensors with ``requires_grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=get_dtype())
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
-        self.name = name
 
     @property
     def shape(self):
@@ -80,8 +79,8 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, name=None):
-    return Tensor(data, requires_grad=True, name=name)
+def parameter(data):
+    return Tensor(data, requires_grad=True)
 
 
 def _unbroadcast(grad, shape):
@@ -257,33 +256,32 @@ def split(a, sizes, axis=0):
     return pieces
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.data.shape).copy())]
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return [(a, np.broadcast_to(gg, a.data.shape).copy())]
 
     return _make(data, (a,), bwd)
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a):
+    """Mean over every entry."""
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(sum_(a), 1.0 / a.data.size)
 
 
-def softmax(a, axis=-1):
+def softmax(a):
+    """Softmax over the last axis."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         return [(a, (g - dot) * data)]
 
     return _make(data, (a,), bwd)
@@ -307,18 +305,19 @@ def gelu(a):
     return _make(data, (a,), bwd)
 
 
-def layer_norm(a, axis=-1, eps=1e-5):
-    """Normalize to zero mean / unit variance along ``axis`` (no affine)."""
+def layer_norm(a):
+    """Normalize to zero mean / unit variance along the last axis (no affine,
+    eps 1e-5)."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=axis, keepdims=True)
+    mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
 
     def bwd(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gx = (g * xhat).mean(axis=axis, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
         return [(a, inv_std * (g - gm - xhat * gx))]
 
     return _make(xhat.astype(a.data.dtype), (a,), bwd)
@@ -348,10 +347,7 @@ def max_pool(a, axis):
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        grid = np.indices(data.shape)
-        index = list(grid)
-        index.insert(axis if axis >= 0 else a.data.ndim + axis, idx)
-        full[tuple(index)] = g
+        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return [(a, full)]
 
     return _make(data, (a,), bwd)
@@ -425,21 +421,25 @@ def adam_init(params):
     }
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction; mutates params and state."""
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state, lr):
+    """One Adam update with bias correction (betas 0.9 and 0.999, eps 1e-8);
+    mutates params and state."""
     state["step"] += 1
     t = state["step"]
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, p in params.items():
         g = grads[name]
         m = state["m"][name]
         v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return params, state

@@ -203,10 +203,10 @@ def _nearest_rows(a, b):
     return nearest
 
 
-def fps(cloud: PointCloud, k: int, seed_index: int = 0):
+def fps(cloud: PointCloud, k: int):
     """Greedy farthest point sampling; returns k point indices.
 
-    The first index is ``seed_index``; every next pick maximizes the minimum
+    The first index is 0; every next pick maximizes the minimum
     distance to all picks so far, ties broken by lowest index.  Each pick's
     distances come from a column-major copy of the cloud, so ``sq_dists``
     reads every coordinate column contiguously, into one reused buffer.
@@ -214,16 +214,14 @@ def fps(cloud: PointCloud, k: int, seed_index: int = 0):
     n = len(cloud)
     if not 1 <= k <= n:
         raise InvalidArgument(f"fps: k={k} out of range for cloud of {n} points")
-    if not 0 <= seed_index < n:
-        raise InvalidArgument(f"fps: seed_index={seed_index} out of range")
 
     pts = np.asfortranarray(cloud.points)
     buf = tuple(np.empty((2, n, 1)))
     selected = np.empty(k, dtype=np.int64)
-    selected[0] = seed_index
+    selected[0] = 0
     # squared distances that overflow are inf, which argmax and minimum order
     with np.errstate(over="ignore", invalid="ignore"):
-        min_d2 = sq_dists(pts, pts[seed_index : seed_index + 1])[:, 0]
+        min_d2 = sq_dists(pts, pts[:1])[:, 0]
         for i in range(1, k):
             nxt = int(np.argmax(min_d2))  # argmax takes the first (lowest) index on ties
             selected[i] = nxt
@@ -366,7 +364,7 @@ def segment(cloud: PointCloud, num_groups: int, group_size: int) -> PatchSet:
     """FPS centers + KNN grouping; patches stored center-relative."""
     if num_groups > len(cloud):
         raise InvalidArgument(f"segment: G={num_groups} exceeds cloud size {len(cloud)}")
-    center_idx = fps(cloud, num_groups, seed_index=0)
+    center_idx = fps(cloud, num_groups)
     centers = cloud.points[center_idx]
     groups = knn_group(cloud, centers, group_size)
     patches = cloud.points[groups] - centers[:, None, :]

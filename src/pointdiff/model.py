@@ -168,7 +168,7 @@ def init_params(cfg: ModelConfig, seed=0):
                 data[...] = 0.0
         else:
             data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-        p[name] = eg.parameter(data, name=name)
+        p[name] = eg.parameter(data)
     return p
 
 
@@ -217,7 +217,7 @@ def _attention(params, x, prefix, heads):
 
     q, k, v = heads_of("q"), heads_of("k"), heads_of("v")
     scores = eg.scale(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    attn = eg.reshape(eg.matmul(eg.softmax(scores, axis=-1), v), (B, heads, n, d))
+    attn = eg.reshape(eg.matmul(eg.softmax(scores), v), (B, heads, n, d))
     merged = eg.reshape(eg.transpose(attn, (0, 2, 1, 3)), (B, n, L))
     return _aff(params, f"{prefix}.attn.o", merged)
 

@@ -35,9 +35,12 @@ def sample_patches(model: Model, latent: LatentSet, schedule, seed=0, on_step=No
     autograd graph, and return center-relative predictions at
     ``patch_points`` density for the patches ``model.predicted_indices``
     names, in its order.  ``on_step(t, x)``, when given, sees the chain's
-    state in that layout after each reverse step.
+    state in that layout after each reverse step.  ``schedule`` must have
+    the model's T.
     """
     cfg = model.cfg
+    if schedule.T != cfg.timesteps:
+        raise InvalidArgument(f"schedule has T={schedule.T} but model expects {cfg.timesteps}")
     (mask,) = latent.masks
     shape = (predicted_indices(cfg, mask).size, cfg.patch_points, 3)
 

@@ -281,7 +281,7 @@ def load_model(path) -> Model:
             layout = _check_layout(cfg, manifest)
         except InvalidArgument as exc:
             raise CorruptCheckpoint(f"{path}: {exc}") from exc
-        params = {name: eg.parameter(body.array(shape), name=name) for name, shape in manifest}
+        params = {name: eg.parameter(body.array(shape)) for name, shape in manifest}
     return Model(cfg=cfg, params={name: params[name] for name in layout})
 
 
@@ -373,15 +373,14 @@ def _checkpoints(curve, every):
     return [(end, float(np.mean(curve[start:end]))) for start, end in zip([0] + ends, ends)]
 
 
-def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, model=None):
+def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig):
     """Train the encoder + pretraining head; returns (model, per-epoch losses).
 
     One "epoch" is one pass over the dataset in batches; a fresh mask is
     drawn per item per epoch.
     """
     _, patchsets = _segment_dataset(dataset, model_cfg)
-    if model is None:
-        model = Model.create(model_cfg, seed=train_cfg.seed)
+    model = Model.create(model_cfg, seed=train_cfg.seed)
 
     def batch_loss(epoch, items, masks):
         patches, centers = _visible_batch(patchsets, items, masks)
@@ -392,13 +391,7 @@ def pretrain_encoder(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, mo
     return model, _fit(model, "enc.", patchsets, train_cfg, batch_loss)
 
 
-def train_decoder(
-    dataset,
-    encoder_model: Model,
-    train_cfg: TrainConfig,
-    schedule: NoiseSchedule,
-    model=None,
-):
+def train_decoder(dataset, encoder_model: Model, train_cfg: TrainConfig, schedule: NoiseSchedule):
     """Train the diffusion decoder with a frozen encoder.
 
     Returns (model, per-epoch losses, checkpoints) where checkpoints is a
@@ -410,8 +403,7 @@ def train_decoder(
             f"schedule has T={schedule.T} but model expects {cfg.timesteps}"
         )
     clouds, patchsets = _segment_dataset(dataset, cfg)
-    if model is None:
-        model = Model.create(cfg, seed=train_cfg.seed + 1)
+    model = Model.create(cfg, seed=train_cfg.seed + 1)
     # carry the pre-trained encoder weights over; _fit freezes them
     for name, t in encoder_model.params.items():
         if name.startswith("enc."):

@@ -144,7 +144,7 @@ def test_criterion_03_gradient_suite(capfd):
             lambda t: eg.sum_(eg.mul(eg.transpose(t, (1, 0)), Tensor(C.T))),
             lambda t: eg.sum_(eg.mul(eg.concat(list(eg.split(t, [1, 2], axis=0)), axis=0), Tensor(C))),
             lambda t: eg.mean(eg.mul(t, t)),
-            lambda t: eg.sum_(eg.mul(eg.softmax(t, axis=-1), Tensor(C))),
+            lambda t: eg.sum_(eg.mul(eg.softmax(t), Tensor(C))),
             lambda t: eg.sum_(eg.mul(eg.gelu(t), Tensor(C))),
             lambda t: eg.sum_(eg.mul(eg.layer_norm(t), Tensor(C))),
             lambda t: eg.sum_(eg.mul(eg.embedding_lookup(t, np.array([0, 2, 2])),
@@ -230,10 +230,9 @@ def test_criterion_05_perfect_denoiser(capfd):
     ok = True
     worst = 0.0
     for T in (1, 50, 200):
-        s = diffusion.build_schedule(T)
         for residual in (RESIDUAL_SQRT_SIGMA, RESIDUAL_SIGMA):
-            out = diffusion.sample(lambda x, t: x0, x0.shape[0], s,
-                                   rng_seed=9, residual=residual)
+            s = diffusion.build_schedule(T, residual=residual)
+            out = diffusion.sample(lambda x, t: x0, x0.shape[0], s, rng_seed=9)
             worst = max(worst, float(np.max(np.abs(out - x0))))
     ok &= worst < 1e-6
     elapsed = time.perf_counter() - start

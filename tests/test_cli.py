@@ -292,18 +292,9 @@ def test_non_utf8_cloud_exits_1(tmp_path, capsys):
     assert not (tmp_path / "c.dpc").exists()
 
 
-@pytest.mark.parametrize("command, section, line", [
-    ("compress", "train", "epochs = 999"),
-    ("compress", "schedule", "beta_start = 0.9"),
-    ("compress", "run", "manifest = /nonexistent"),
-    ("train-encoder", "schedule", "beta_start = 0.0001"),
-    ("train-encoder", "train", "loss_setting = masked_only"),
-    ("train-encoder", "train", "checkpoint_every = 7"),
-    ("train-decoder", "train", "checkpoint_every = 7"),
-    ("train-decoder", "schedule", "timesteps = 3"),
-])
-def test_config_the_command_does_not_read_exits_2(workspace, capsys, command, section, line):
-    # a section or key the command would accept and then ignore
+def _config_run(workspace, command):
+    """The config ``command`` reads, the rest of a valid argv for it and its
+    output directory, which exists for compress only."""
     ws, config, dec_config = workspace
     out = ws / "o"
     if command == "compress":
@@ -319,6 +310,22 @@ def test_config_the_command_does_not_read_exits_2(workspace, capsys, command, se
         argv = ["--ckpt-encoder", str(ws / "enc.ckpt"), "--out", str(out)]
     else:
         argv = ["--out", str(out)]
+    return config, argv, out
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("compress", "train", "epochs = 999"),
+    ("compress", "schedule", "beta_start = 0.9"),
+    ("compress", "run", "manifest = /nonexistent"),
+    ("train-encoder", "schedule", "beta_start = 0.0001"),
+    ("train-encoder", "train", "loss_setting = masked_only"),
+    ("train-encoder", "train", "checkpoint_every = 7"),
+    ("train-decoder", "train", "checkpoint_every = 7"),
+    ("train-decoder", "schedule", "timesteps = 3"),
+])
+def test_config_the_command_does_not_read_exits_2(workspace, capsys, command, section, line):
+    # a section or key the command would accept and then ignore
+    config, argv, out = _config_run(workspace, command)
     text = config.read_text()
     header = f"[{section}]\n"
     config.write_text(text.replace(header, header + line + "\n") if header in text
@@ -328,6 +335,20 @@ def test_config_the_command_does_not_read_exits_2(workspace, capsys, command, se
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(line.split(" = ")[0]) in err or header.strip() in err
     assert not (out / "resolved_config.ini").exists() and not (out / "c.dpc").exists()
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "train-decoder", "compress"])
+def test_config_that_is_not_utf8_exits_1(workspace, capsys, command):
+    config, argv, out = _config_run(workspace, command)
+    head, rest = config.read_bytes().split(b"\n", 1)
+    config.write_bytes(head + b"\n# \xff\n" + rest)
+    assert run([command, "--config", str(config), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: byte 0xff is not UTF-8 text\n"
+    assert not out.exists() or not any(out.iterdir())
+    # a config that is not there at all stays a usage error
+    assert run([command, "--config", str(config.with_name("missing.ini")), *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: config file not found")
 
 
 def test_train_encoder_reads_no_loss_setting_flag(workspace, capsys):

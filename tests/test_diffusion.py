@@ -37,6 +37,7 @@ def test_schedule_validation():
         build_schedule(0)
     with pytest.raises(InvalidArgument):
         build_schedule(10, beta_start=0.5, beta_end=0.1)
+    assert build_schedule(10).residual == RESIDUAL_SQRT_SIGMA
 
 
 def test_q_sample_closed_form(rng):
@@ -59,11 +60,10 @@ def test_q_sample_t_bounds(rng):
 
 
 def test_reverse_step_t0_collapses_to_prediction(rng):
-    s = build_schedule(50)
     x_t = rng.normal(size=(8, 3))
     x_rec = rng.normal(size=(8, 3))
     for residual in (RESIDUAL_SQRT_SIGMA, RESIDUAL_SIGMA):
-        out = reverse_step(x_t, 0, x_rec, s, residual=residual)
+        out = reverse_step(x_t, 0, x_rec, build_schedule(50, residual=residual))
         assert np.allclose(out, x_rec, atol=1e-12)
 
 
@@ -77,28 +77,26 @@ def test_reverse_step_mean_formula(rng):
         np.sqrt(a_t) * (1 - ab_prev) / (1 - ab_t) * x_t
         + np.sqrt(ab_prev) * s.beta[t] / (1 - ab_t) * x_rec
     )
-    out = reverse_step(x_t, t, x_rec, s, residual=RESIDUAL_SQRT_SIGMA)
+    out = reverse_step(x_t, t, x_rec, s)
     # the deterministic residual adds sqrt(sigma_t) * x_rec on top of the mean
     assert np.allclose(out - mean, np.sqrt(s.sigma[t]) * x_rec, atol=1e-12)
 
-    out2 = reverse_step(x_t, t, x_rec, s, residual=RESIDUAL_SIGMA)
+    out2 = reverse_step(x_t, t, x_rec, build_schedule(50, residual=RESIDUAL_SIGMA))
     assert np.allclose(out2 - mean, s.sigma[t] * x_rec, atol=1e-12)
 
 
-def test_reverse_step_rejects_unknown_residual(rng):
-    s = build_schedule(10)
-    x = rng.normal(size=(2, 3))
-    with pytest.raises(InvalidArgument):
-        reverse_step(x, 1, x, s, residual="noise")
+def test_schedule_rejects_unknown_residual():
+    with pytest.raises(InvalidArgument, match="noise"):
+        build_schedule(10, residual="noise")
 
 
 @pytest.mark.parametrize("T", [1, 10, 50])
 @pytest.mark.parametrize("residual", [RESIDUAL_SQRT_SIGMA, RESIDUAL_SIGMA])
 def test_perfect_denoiser_fixpoint(T, residual, rng):
     """An oracle decoder that always returns x0 must recover x0 exactly."""
-    s = build_schedule(T)
+    s = build_schedule(T, residual=residual)
     x0 = rng.normal(size=(32, 3))
-    out = sample(lambda x_t, t: x0, 32, s, rng_seed=5, residual=residual)
+    out = sample(lambda x_t, t: x0, 32, s, rng_seed=5)
     assert np.max(np.abs(out - x0)) < 1e-6
 
 

@@ -38,7 +38,7 @@ def test_forward_values(rng):
     assert np.allclose(eg.scale(Tensor(a), 2.5).data, 2.5 * a)
     assert np.allclose(eg.mean(Tensor(a)).data, a.mean())
     assert np.allclose(eg.sum_(Tensor(a), axis=1).data, a.sum(axis=1))
-    sm = eg.softmax(Tensor(a), axis=-1).data
+    sm = eg.softmax(Tensor(a)).data
     assert np.allclose(sm.sum(axis=-1), 1.0)
 
 
@@ -82,8 +82,8 @@ def test_backward_scalar_only():
 
 
 def test_backward_untouched_param_gets_zeros():
-    used = eg.parameter(np.ones(3), name="used")
-    unused = eg.parameter(np.ones(4), name="unused")
+    used = eg.parameter(np.ones(3))
+    unused = eg.parameter(np.ones(4))
     loss = eg.mean(eg.mul(used, used))
     grads = eg.backward(loss, {"used": used, "unused": unused})
     assert np.allclose(grads["used"], 2.0 * np.ones(3) / 3.0)
@@ -93,7 +93,7 @@ def test_backward_untouched_param_gets_zeros():
 def test_broadcast_add_grad(rng):
     # bias broadcast over the batch axis must accumulate, not broadcast back
     x = rng.normal(size=(5, 3))
-    b = eg.parameter(rng.normal(size=3), name="b")
+    b = eg.parameter(rng.normal(size=3))
     loss = eg.sum_(eg.add(Tensor(x), b))
     grads = eg.backward(loss, {"b": b})
     assert np.allclose(grads["b"], 5.0 * np.ones(3))
@@ -107,7 +107,7 @@ PRIMITIVE_CASES = [
     ("matmul2", lambda t, c: eg.sum_(eg.mul(eg.matmul(t, Tensor(c.T)), eg.matmul(t, Tensor(c.T)))), (3, 4)),
     ("reshape", lambda t, c: eg.sum_(eg.mul(eg.reshape(t, (4, 3)), eg.reshape(t, (4, 3)))), (3, 4)),
     ("transpose", lambda t, c: eg.sum_(eg.mul(eg.transpose(t, (1, 0)), Tensor(c.T))), (3, 4)),
-    ("softmax", lambda t, c: eg.sum_(eg.mul(eg.softmax(t, axis=-1), Tensor(c))), (3, 4)),
+    ("softmax", lambda t, c: eg.sum_(eg.mul(eg.softmax(t), Tensor(c))), (3, 4)),
     ("gelu", lambda t, c: eg.sum_(eg.mul(eg.gelu(t), Tensor(c))), (3, 4)),
     ("layer_norm", lambda t, c: eg.sum_(eg.mul(eg.layer_norm(t), Tensor(c))), (3, 4)),
     ("mean", lambda t, c: eg.mean(eg.mul(t, t)), (3, 4)),
@@ -167,7 +167,7 @@ def test_adam_matches_reference(rng):
     # one step against a hand-computed bias-corrected Adam update
     theta0 = rng.normal(size=4)
     g = rng.normal(size=4)
-    p = {"w": eg.parameter(theta0.copy(), name="w")}
+    p = {"w": eg.parameter(theta0.copy())}
     state = eg.adam_init(p)
     eg.adam_step(p, {"w": g}, state, lr=0.1)
     m_hat = (0.1 * g) / (1 - 0.9)
@@ -177,14 +177,14 @@ def test_adam_matches_reference(rng):
 
 
 def test_grad_accumulates_on_reuse():
-    x = eg.parameter(np.array([2.0]), name="x")
+    x = eg.parameter(np.array([2.0]))
     y = eg.add(eg.mul(x, x), eg.mul(x, x))  # 2x^2 -> dy/dx = 4x
     grads = eg.backward(eg.sum_(y), {"x": x})
     assert np.allclose(grads["x"], [8.0])
 
 
 def test_no_grad_records_nothing_and_restores_on_exception():
-    x = eg.parameter(np.array([2.0]), name="x")
+    x = eg.parameter(np.array([2.0]))
     with eg.no_grad():
         y = eg.mul(x, x)
     assert y._parents == () and y._backward is None

@@ -1,6 +1,8 @@
-"""Source layout rules checked statically over ``src/pointdiff``."""
+"""Source layout rules checked statically over ``src/pointdiff``, and the
+package names the bench relies on."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pointdiff"
@@ -58,3 +60,14 @@ def test_every_public_name_has_a_caller():
     for qualified, caller in OUTSIDE_CALLERS.items():
         names = set().union(*(n for _, _, n in _top_level_references([REPO / caller])))
         assert qualified.split(":")[1] in names, f"{caller} does not call {qualified}"
+
+
+def test_every_traced_bench_name_is_a_package_callable():
+    # ``bench/run.py --trace`` wraps each ``pointdiff.<module>.<attr>`` that
+    # ``bench/spans.py`` lists in TRACED; a rename or deletion breaks it there
+    spec = importlib.util.spec_from_file_location("bench_spans", REPO / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attrs in spans.TRACED.items() for attr in attrs
+               if not callable(getattr(importlib.import_module(f"pointdiff.{module}"), attr, None))]
+    assert missing == []

@@ -59,6 +59,20 @@ def test_reconstruct_frames_are_the_cloud(sphere_cloud, predict_visible, strateg
     assert not np.array_equal(frames[0][1].points, out.points)
 
 
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_schedule_of_another_length_is_rejected_before_decoding(sphere_cloud, monkeypatch,
+                                                                offset):
+    model, _ = make_model()
+    schedule = diffusion.build_schedule(model.cfg.timesteps + offset)
+
+    def no_decode(*args):
+        raise AssertionError("decoded with a mismatched schedule")
+
+    monkeypatch.setattr(model, "decode", no_decode)
+    with pytest.raises(InvalidArgument, match=f"T={schedule.T} but model expects"):
+        tasks.reconstruct(sphere_cloud, model, schedule)
+
+
 def test_complete_arity(sphere_cloud):
     model, schedule = make_model()
     cfg = model.cfg

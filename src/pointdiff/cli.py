@@ -54,7 +54,7 @@ def load_run_config(path, command):
     a byte that is not UTF-8 a ParseError naming its line."""
     try:
         text = data_io._read_text(path)
-    except OSError:
+    except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
     parser = configparser.ConfigParser()
     try:
@@ -342,14 +342,16 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-encoder", help="pretrain the encoder")
-    common(p, "--config", "--mask-ratio", "--mask-strategy")
+    common(p, "--mask-ratio", "--mask-strategy")
+    p.add_argument("--config", required=True, **flags["--config"])
     # seed=None: without --seed, [train] seed or TrainConfig's default holds
-    p.set_defaults(func=cmd_train_encoder, _needs_config=True, seed=None)
+    p.set_defaults(func=cmd_train_encoder, seed=None)
 
     p = sub.add_parser("train-decoder", help="train the diffusion decoder")
-    common(p, "--config", "--mask-strategy", "--loss-setting")
+    common(p, "--mask-strategy", "--loss-setting")
+    p.add_argument("--config", required=True, **flags["--config"])
     p.add_argument("--ckpt-encoder", dest="ckpt_encoder", required=True)
-    p.set_defaults(func=cmd_train_decoder, _needs_config=True, seed=None)
+    p.set_defaults(func=cmd_train_decoder, seed=None)
 
     p = sub.add_parser("reconstruct", help="mask + regenerate a cloud")
     common(p, "--mask-strategy", needs_input=True, needs_ckpt=True)
@@ -391,9 +393,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "_needs_config", False) and not args.config:
-        print("error: --config is required for training commands", file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except UsageError as exc:

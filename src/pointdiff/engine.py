@@ -4,7 +4,8 @@ Tensors wrap numpy arrays in the active precision: 32- or 64-bit, set by the
 POINTDIFF_PRECISION environment variable at import and switched for a block
 by ``precision(bits)``.
 Every primitive records a backward rule, except inside ``no_grad()``;
-``backward`` walks the recorded graph in reverse topological order.
+``backward`` walks the recorded graph in reverse topological order and
+returns the gradients of the tensors it is asked for.
 Broadcasting is the usual numpy kind restricted in practice to leading batch
 dimensions; gradients are summed back over broadcast axes.
 """
@@ -49,18 +50,13 @@ def precision(bits):
 
 
 class Tensor:
-    """A node in the computation graph.
+    """A node in the computation graph; ``data`` is a numpy array in the
+    active dtype."""
 
-    ``data`` is a numpy array in the active dtype.  ``grad`` is populated by
-    ``backward`` for tensors with ``requires_grad``.
-    """
+    __slots__ = ("data", "_parents", "_backward")
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=get_dtype())
-        self.grad = None
-        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
 
@@ -72,15 +68,11 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data):
-    return Tensor(data, requires_grad=True)
 
 
 def _unbroadcast(grad, shape):
@@ -99,8 +91,8 @@ _grad_enabled = True
 @contextmanager
 def no_grad():
     """Record no graph inside the block: every primitive returns a plain
-    tensor, as if no input required a gradient.  The previous state is
-    restored on exit, also when the block raises."""
+    tensor.  The previous state is restored on exit, also when the block
+    raises."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -111,7 +103,7 @@ def no_grad():
 
 
 def _make(data, parents, backward_fn):
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled:
         return Tensor(data, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
@@ -357,13 +349,10 @@ def max_pool(a, axis):
 # reverse pass
 
 
-def backward(loss, params=None):
-    """Back-propagate from a scalar ``loss``.
-
-    Populates ``.grad`` on every ``requires_grad`` tensor reachable from the
-    loss.  When ``params`` (a name->Tensor mapping) is given, returns a
-    name->gradient dict with zeros for parameters the loss never touched.
-    """
+def backward(loss, params):
+    """Back-propagate from a scalar ``loss``; returns a name->gradient dict
+    for the ``params`` (a name->Tensor mapping), with zeros for any tensor
+    the loss never reached."""
     loss = as_tensor(loss)
     if loss.data.size != 1:
         raise InvalidArgument(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -382,13 +371,15 @@ def backward(loss, params=None):
         for p in node._parents:
             stack.append((p, False))
 
+    wanted = {id(t) for t in params.values()}
+    reached = {}
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
+        if id(node) in wanted:
+            reached[id(node)] = g
         if node._backward is not None:
             for parent, pg in node._backward(g):
                 if id(parent) in grads:
@@ -396,17 +387,8 @@ def backward(loss, params=None):
                 else:
                     grads[id(parent)] = pg
 
-    if params is not None:
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.items()
-        }
-    return None
-
-
-def zero_grads(params):
-    for t in params.values():
-        t.grad = None
+    return {name: reached[id(t)] if id(t) in reached else np.zeros_like(t.data)
+            for name, t in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -442,4 +424,3 @@ def adam_step(params, grads, state, lr):
         m_hat = m / bc1
         v_hat = v / bc2
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    return params, state

@@ -406,19 +406,15 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
         if centers is None:
             raise InvalidArgument("block masking requires patch centers")
         centers = np.asarray(centers, dtype=np.float64)
-        start = int(rng.integers(num_groups))
-        chain = [start]
-        remaining = set(range(num_groups)) - {start}
-        # squared distances that overflow are inf, which argmin orders
+        cur = int(rng.integers(num_groups))
+        indicator[cur] = True
+        # squared distances that overflow are inf, which argmin orders; the
+        # candidates ascend, so a tie goes to the lowest index
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(chain) < m:
-                cur = centers[chain[-1]]
-                cand = sorted(remaining)
-                d2 = sq_dists(centers[cand], cur[None])[:, 0]
-                nxt = cand[int(np.argmin(d2))]
-                chain.append(nxt)
-                remaining.discard(nxt)
-        indicator[chain] = True
+            for _ in range(m - 1):
+                cand = np.flatnonzero(~indicator)
+                cur = int(cand[np.argmin(sq_dists(centers[cand], centers[cur][None])[:, 0])])
+                indicator[cur] = True
     return MaskSpec(indicator=indicator)
 
 

@@ -67,12 +67,7 @@ from .geometry import PointCloud, nearest_sq_dists, nearest_tree
 
 
 def _as_points(cloud):
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise InvalidArgument(f"expected a non-empty (N, 3) cloud, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidArgument("cloud contains non-finite coordinates")
-    return pts
+    return (cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)).points
 
 
 # query rows per block of a search that may stop early (see the module docstring)

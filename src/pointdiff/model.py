@@ -168,7 +168,7 @@ def init_params(cfg: ModelConfig, seed=0):
                 data[...] = 0.0
         else:
             data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-        p[name] = eg.parameter(data)
+        p[name] = eg.Tensor(data)
     return p
 
 
@@ -367,8 +367,3 @@ class Model:
         return apply_mask(
             self.cfg.num_groups, self.cfg.mask_ratio, strategy, rng_seed, centers=centers
         )
-
-    def set_trainable(self, prefix, trainable):
-        for name, t in self.params.items():
-            if name.startswith(prefix):
-                t.requires_grad = trainable

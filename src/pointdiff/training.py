@@ -281,7 +281,7 @@ def load_model(path) -> Model:
             layout = _check_layout(cfg, manifest)
         except InvalidArgument as exc:
             raise CorruptCheckpoint(f"{path}: {exc}") from exc
-        params = {name: eg.parameter(body.array(shape)) for name, shape in manifest}
+        params = {name: eg.Tensor(body.array(shape)) for name, shape in manifest}
     return Model(cfg=cfg, params={name: params[name] for name in layout})
 
 
@@ -326,16 +326,15 @@ def _segment_dataset(dataset, cfg: ModelConfig):
 
 
 def _fit(model, prefix, patchsets, train_cfg: TrainConfig, batch_loss):
-    """Adam on the ``prefix`` parameters of ``model`` with every other
-    parameter frozen; returns the per-epoch mean batch losses.
+    """Adam on the ``prefix`` parameters of ``model``; returns the
+    per-epoch mean batch losses.
 
     Dataset item ``i`` draws the mask keyed by
     ``(seed, _mask_key(train_cfg, epoch), i)``.  Each optimizer step takes
     one ``batch_loss(epoch, items, masks)`` over a batch's item indices and
-    their masks, and one backward walk.
+    their masks, and one backward walk that returns the gradients of the
+    ``prefix`` parameters, the only tensors Adam updates.
     """
-    model.set_trainable("", False)
-    model.set_trainable(prefix, True)
     params = {k: v for k, v in model.params.items() if k.startswith(prefix)}
     opt_state = eg.adam_init(params)
     curve = []
@@ -354,7 +353,6 @@ def _fit(model, prefix, patchsets, train_cfg: TrainConfig, batch_loss):
             loss = batch_loss(epoch, items, masks)
             grads = eg.backward(loss, params)
             eg.adam_step(params, grads, opt_state, train_cfg.lr)
-            eg.zero_grads(params)
             epoch_losses.append(loss.item())
         curve.append(float(np.mean(epoch_losses)))
     return curve
@@ -404,7 +402,7 @@ def train_decoder(dataset, encoder_model: Model, train_cfg: TrainConfig, schedul
         )
     clouds, patchsets = _segment_dataset(dataset, cfg)
     model = Model.create(cfg, seed=train_cfg.seed + 1)
-    # carry the pre-trained encoder weights over; _fit freezes them
+    # carry the pre-trained encoder weights over; only dec. tensors train
     for name, t in encoder_model.params.items():
         if name.startswith("enc."):
             model.params[name].data = t.data.copy()
@@ -424,8 +422,8 @@ def train_decoder(dataset, encoder_model: Model, train_cfg: TrainConfig, schedul
 
     def batch_loss(epoch, items, masks):
         patches, centers = _visible_batch(patchsets, items, masks)
-        # the encoder is frozen: this forward records no graph
-        tokens = encode_patches(model.params, patches, centers, cfg)
+        with eg.no_grad():  # the encoder is frozen: its forward records no graph
+            tokens = encode_patches(model.params, patches, centers, cfg)
         rows = [predicted_indices(cfg, m) for m in masks]
         ts, x_t = zip(*(noisy(epoch, i, r) for i, r in zip(items, rows)))
         latent = LatentSet(tokens=tokens, masks=tuple(masks),

@@ -47,10 +47,8 @@ def grad_check(f, point, h=None, atol=0.0):
     leave only rounding noise, where a relative error is meaningless.
     """
     point = eg.as_tensor(point)
-    probe = eg.Tensor(point.data.copy(), requires_grad=True)
-    loss = f(probe)
-    eg.backward(loss)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+    probe = eg.Tensor(point.data.copy())
+    analytic = eg.backward(f(probe), {"probe": probe})["probe"]
 
     flat = point.data.ravel()
     numeric = np.zeros_like(flat)

@@ -67,7 +67,9 @@ def test_unknown_command_exits_2():
 
 
 def test_train_encoder_requires_config():
-    assert run(["train-encoder"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["train-encoder"])
+    assert exc.value.code == 2
 
 
 def test_missing_checkpoint_exits_1(tmp_path):
@@ -349,6 +351,19 @@ def test_config_that_is_not_utf8_exits_1(workspace, capsys, command):
     # a config that is not there at all stays a usage error
     assert run([command, "--config", str(config.with_name("missing.ini")), *argv]) == 2
     assert capsys.readouterr().err.startswith("error: config file not found")
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "train-decoder", "compress"])
+def test_config_that_cannot_be_read_exits_1(workspace, capsys, command):
+    # a path that exists but is no readable file is not a missing config
+    config, argv, out = _config_run(workspace, command)
+    unreadable = config.with_name("a-directory.ini")
+    unreadable.mkdir()
+    assert run([command, "--config", str(unreadable), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not found" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_train_encoder_reads_no_loss_setting_flag(workspace, capsys):

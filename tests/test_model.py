@@ -204,14 +204,6 @@ def test_latent_token_count_checked(sphere_cloud, rng):
         model.decode(mdl.LatentSet(good.tokens, good.centers, masks=(mask, mask)), x_t, t=[0])
 
 
-def test_set_trainable_prefix():
-    model = Model.create(toy_config(), seed=0)
-    model.set_trainable("enc.", True)
-    model.set_trainable("dec.", False)
-    assert model.params["enc.head.w"].requires_grad
-    assert not model.params["dec.head.w"].requires_grad
-
-
 # ---------------------------------------------------------------------------
 # the batch axis
 

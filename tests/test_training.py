@@ -254,7 +254,7 @@ def test_load_model_work_is_bounded_by_the_file(tmp_path, monkeypatch):
     assert list(reloaded.params) == list(model.params)
     for name, param in model.params.items():
         got = reloaded.params[name]
-        assert got.requires_grad and got.data.dtype == param.data.dtype
+        assert got.data.dtype == param.data.dtype
         assert np.array_equal(got.data, param.data.astype(np.float32).astype(param.data.dtype))
 
 
@@ -372,9 +372,11 @@ def test_pretrain_encoder_loss_decreases():
     model, curve = training.pretrain_encoder(tiny_dataset(), cfg, tc)
     assert len(curve) == 15
     assert curve[-1] < curve[0]
-    # only the encoder was trained: the decoder stays frozen
-    assert all(not p.requires_grad for name, p in model.params.items()
-               if name.startswith("dec."))
+    # only the encoder was trained: every decoder tensor keeps its init
+    init = Model.create(cfg, seed=tc.seed).params
+    for name, p in model.params.items():
+        if name.startswith("dec."):
+            assert np.array_equal(p.data, init[name].data), name
 
 
 def test_pretrain_encoder_deterministic():
@@ -410,11 +412,32 @@ def test_train_decoder_runs_and_checkpoints(setting, every, ends):
     # windows average the epochs they cover, in order
     assert ckpts == [(end, float(np.mean(curve[start:end])))
                      for start, end in zip([0] + ends, ends)]
-    # encoder weights were copied over and frozen
+    # encoder weights were copied over and never updated
     for name, p in enc.params.items():
         if name.startswith("enc."):
-            assert np.array_equal(model.params[name].data, p.data)
-            assert not model.params[name].requires_grad
+            assert np.array_equal(model.params[name].data, p.data), name
+
+
+def test_only_the_trained_phase_records_the_encoder_forward(monkeypatch):
+    # the pretraining forward feeds the encoder's gradients; the frozen
+    # encoder's forward in decoder training runs under no_grad
+    cfg = toy_config()
+    data = tiny_dataset()
+    tc = TrainConfig(epochs=1, batch_size=2, seed=0)
+    encode_patches = training.encode_patches
+    recorded = []
+
+    def wrapped(*args, **kwargs):
+        tokens = encode_patches(*args, **kwargs)
+        recorded.append(bool(tokens._parents))
+        return tokens
+
+    monkeypatch.setattr(training, "encode_patches", wrapped)
+    enc, _ = training.pretrain_encoder(data, cfg, tc)
+    assert recorded == [True]
+    recorded.clear()
+    training.train_decoder(data, enc, tc, diffusion.build_schedule(cfg.timesteps))
+    assert recorded == [False]
 
 
 def _dense_nearest(calls):
@@ -505,7 +528,7 @@ def _step_losses(monkeypatch, train):
     losses = []
     backward = eg.backward
 
-    def recording(loss, params=None):
+    def recording(loss, params):
         losses.append(loss.item())
         return backward(loss, params)
 
@@ -572,7 +595,7 @@ def test_decoder_step_tape_is_independent_of_batch_size(monkeypatch):
     sizes = {}
     backward = eg.backward
     for batch in (1, 8):
-        def counting(loss, params=None, batch=batch):
+        def counting(loss, params, batch=batch):
             sizes.setdefault(batch, set()).add(_tape_size(loss))
             return backward(loss, params)
 

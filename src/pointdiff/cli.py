@@ -307,6 +307,7 @@ def _checked(convert, accept, expected):
 # numpy seeds its generators from non-negative integers only
 _SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _SIGMA = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def build_parser():
@@ -364,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("upsample", help="densify a cloud (Config 2 model)")
     common(p, needs_input=True, needs_ckpt=True)
-    p.add_argument("--visible-fraction", dest="visible_fraction", type=float, default=0.4)
+    p.add_argument("--visible-fraction", dest="visible_fraction", type=_FRACTION, default=0.4)
     p.set_defaults(func=cmd_upsample)
 
     p = sub.add_parser("compress", help="serialize visible patches + centers")

@@ -97,8 +97,17 @@ class PatchSet:
 
 
 def mask_count(ratio, num_groups):
-    """Half-up rounding of ratio * G (the masked patch count)."""
-    return int(np.floor(ratio * num_groups + 0.5))
+    """Half-up rounding of ratio * G, the masked patch count.  Raises
+    ``InvalidArgument`` unless ``ratio`` lies in (0, 1) and the count leaves
+    at least one patch masked and one visible."""
+    if not 0.0 < ratio < 1.0:
+        raise InvalidArgument(f"mask ratio must be in (0,1), got {ratio}")
+    m = int(np.floor(ratio * num_groups + 0.5))
+    if not 1 <= m <= num_groups - 1:
+        raise InvalidArgument(
+            f"degenerate mask: round({ratio}*{num_groups})={m} leaves no masked or visible patches"
+        )
+    return m
 
 
 def sq_dists(a, b, out=None):
@@ -114,7 +123,7 @@ def sq_dists(a, b, out=None):
     This is the library's exact point-to-point squared distance:
     ``knn_group`` and ``nearest_sq_dists`` recompute their KD-tree
     candidates in the same arithmetic, and ``nearest_indices`` filters with
-    a BLAS approximation and rechecks near-ties here.
+    a float32 BLAS approximation and rechecks near-ties here.
     """
     d, dk = (None, None) if out is None else out
     d = np.subtract.outer(a[:, 0], b[:, 0], out=d)
@@ -142,64 +151,76 @@ def nearest_indices(a, b):
 def _nearest_rows(a, b):
     """``sq_dists(a, b).argmin(axis=1)``, ties to the lowest index.
 
-    Rows go in blocks of about ``_NN_BLOCK_ELEMS`` elements.  One BLAS
-    product per block gives approximate squared distances from shifted,
+    Rows go in blocks of about ``_NN_BLOCK_ELEMS`` elements.  One float32
+    BLAS product per block gives approximate squared distances from shifted,
     augmented coordinates, ``[x, |x|^2, 1] @ [-2y, 1, |y|^2]^T`` with
     ``x = a - c`` and ``y = b - c`` for ``c`` the centre of b's bounding
-    box.  A row whose second-smallest approximate value exceeds its
-    smallest by more than ``2 * delta`` has the same unique minimum in
-    ``sq_dists``; every other row is recomputed exactly.
+    box: the shift and the norms are computed in the input dtype and then
+    cast to float32.  A row whose second-smallest approximate value exceeds
+    its smallest by more than ``2 * delta`` has the same unique minimum in
+    ``sq_dists``; every other row is recomputed exactly, in the input dtype.
 
-    ``delta`` bounds |approx - sq_dists| for a row at x.  With u = eps / 2
-    of the input dtype and S = |x|^2 + max |y|^2, to first order in u:
-      - ``sq_dists`` is within 5u * |a - b|^2 <= 10u * S of the true
+    ``delta`` bounds |approx - sq_dists| for a row at x.  Let u = 2^-24 be
+    float32's unit roundoff, U <= u the input dtype's (U = u for float32
+    input), S = |x|^2 + max |y|^2 and tiny float32's smallest subnormal.
+    Each rounding is off by at most u (or U) times its result plus tiny / 2.
+    To first order in u:
+      - ``sq_dists`` is within 5U * |a - b|^2 <= 10U * S of the true
         distance (one rounding on each difference, doubled by the square,
         one on each square and two on the sums);
-      - the shift rounds x and y by at most u * |x| and u * |y|, which
-        moves the true distance by at most 2u * (|x| + |y|)^2 <= 4u * S;
-      - the norms are sums of three squares, each within 3u: 3u * S;
-      - the 5-term product in any order, fused or not, is within 5u times
-        the sum of its terms' magnitudes, at most 2S: 10u * S.
-    That is 27u * S = 13.5 eps * S.  ``delta = 16 eps * S + 64 tiny``, with
-    tiny the smallest subnormal: the 16 leaves room for the second order
-    terms and for the rounding of delta, S and the gap themselves, and at
-    most twelve products may underflow, each off by at most tiny / 2.  Rows
-    with S past an eighth of the dtype's largest value may overflow the
-    product and are always recomputed.
+      - the shift rounds x and y by at most U * |x| and U * |y|, which
+        moves the true distance by at most 2U * (|x| + |y|)^2 <= 4U * S;
+      - the norms are sums of three squares, each within 3U: 3U * S;
+      - the casts to float32 are exact for float32 input.  Otherwise each
+        coordinate moves by at most u * |x_i| + tiny / 2, so the cross term
+        2 x.y moves by at most 4u * |x||y| + tiny * (|x|_1 + |y|_1) <= 3u * S
+        (tiny * |v| <= u * v^2 + tiny^2 / 4u, and tiny^2 / 4u is far below
+        tiny), and the two norms by u * S: 4u * S;
+      - the 5-term float32 product in any order, fused or not, is within 5u
+        times the sum of its terms' magnitudes, at most 2S: 10u * S.
+    That is 27u * S for float32 input and 14u * S + 17U * S < 15u * S for
+    float64 input, at most 13.5 eps * S with eps float32's.  ``delta = 16
+    eps * S + 64 tiny``: the 16 leaves room for the second order terms and
+    for the rounding of delta, S and the float32 gap themselves, and fewer
+    than thirty roundings, each off by at most tiny / 2, may underflow.
+    Rows with S past an eighth of float32's largest value may overflow the
+    casts or the product and are always recomputed; S is summed in the
+    input dtype, so a coordinate past float32's range always puts its row
+    there, or every row for a coordinate of b.
     """
     dt = np.result_type(a, b)
     a, b = np.asarray(a, dtype=dt), np.asarray(b, dtype=dt)
     n, m = len(a), len(b)
-    finfo = np.finfo(dt)
-    c = (b.min(axis=0) + b.max(axis=0)) / 2
-    x, y = a - c, b - c
-    xs = np.empty((n, 5), dtype=dt)  # [x, |x|^2, 1]
+    f32 = np.finfo(np.float32)
+    bt = np.ascontiguousarray(b.T)  # b's coordinate rows reduce faster than its columns
+    c = (bt.min(axis=1) + bt.max(axis=1)) / 2
+    x, yt = a - c, bt - c[:, None]
+    x_sq, y_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->j", yt, yt)
+    xs = np.empty((n, 5), dtype=np.float32)  # [x, |x|^2, 1]
     xs[:, :3] = x
-    xs[:, 3] = np.einsum("ij,ij->i", x, x)
+    xs[:, 3] = x_sq
     xs[:, 4] = 1
-    ys = np.empty((5, m), dtype=dt)  # [-2y, 1, |y|^2]^T
-    ys[:3] = -2 * y.T
+    ys = np.empty((5, m), dtype=np.float32)  # [-2y, 1, |y|^2]^T
+    ys[:3] = -2 * yt
     ys[3] = 1
-    ys[4] = np.einsum("ij,ij->i", y, y)
-    s = xs[:, 3] + ys[4].max()
-    delta = np.where(s <= finfo.max / 8, 16 * finfo.eps * s + 64 * finfo.smallest_subnormal, np.inf)
+    ys[4] = y_sq
+    s = x_sq + y_sq.max()
+    delta = np.where(s <= f32.max / 8, 16 * f32.eps * s + 64 * f32.smallest_subnormal, np.inf)
 
     nearest = np.empty(n, dtype=np.intp)
     rows = max(1, _NN_BLOCK_ELEMS // m)
-    # the approximate block, then the exact rows of its near-ties, in buf[0]
-    buf = np.empty((2, min(rows, n), m), dtype=dt)
+    buf = np.empty((min(rows, n), m), dtype=np.float32)
     for lo in range(0, n, rows):
-        d = np.matmul(xs[lo : lo + rows], ys, out=buf[0, : min(rows, n - lo)])
+        d = np.matmul(xs[lo : lo + rows], ys, out=buf[: min(rows, n - lo)])
         r = np.arange(len(d))
         j0 = d.argmin(axis=1)
         d0 = d[r, j0]
         d[r, j0] = np.inf
         nearest[lo : lo + len(d)] = j0
-        settled = d.min(axis=1) - d0 > 2 * delta[lo : lo + len(d)]
+        settled = d[r, d.argmin(axis=1)] - d0 > 2 * delta[lo : lo + len(d)]
         recheck = lo + np.flatnonzero(~settled)
         if recheck.size:
-            exact = sq_dists(a[recheck], b, out=tuple(buf[:, : recheck.size]))
-            nearest[recheck] = exact.argmin(axis=1)
+            nearest[recheck] = sq_dists(a[recheck], b).argmin(axis=1)
     return nearest
 
 
@@ -389,13 +410,7 @@ def apply_mask(num_groups, ratio, strategy, rng_seed, centers=None) -> MaskSpec:
     a random center (``centers`` required for BLOCK).
     """
     strategy = MaskStrategy.parse(strategy)
-    if not 0.0 < ratio < 1.0:
-        raise InvalidArgument(f"mask ratio must be in (0,1), got {ratio}")
     m = mask_count(ratio, num_groups)
-    if m < 1 or m > num_groups - 1:
-        raise InvalidArgument(
-            f"degenerate mask: round({ratio}*{num_groups})={m} leaves no masked or visible patches"
-        )
 
     rng = _rng(rng_seed)
     indicator = np.zeros(num_groups, dtype=bool)

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Tensor
 from .errors import InvalidArgument, ShapeError
-from .geometry import MaskSpec, _rng, apply_mask
+from .geometry import MaskSpec, _rng, apply_mask, mask_count
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,12 @@ class ModelConfig:
     use_position_embedding: bool = True
 
     def __post_init__(self):
-        sizes = (self.latent_width, self.enc_heads, self.dec_heads, self.num_groups,
-                 self.group_size, self.timesteps)
+        sizes = (self.latent_width, self.enc_blocks, self.dec_blocks, self.enc_heads,
+                 self.dec_heads, self.num_groups, self.group_size, self.timesteps)
         if min(sizes) < 1:
-            raise InvalidArgument(f"latent_width, heads, G, N and T must be positive: {sizes}")
+            raise InvalidArgument(
+                f"latent_width, blocks, heads, G, N and T must be positive: {sizes}")
+        mask_count(self.mask_ratio, self.num_groups)
         if self.latent_width % self.enc_heads or self.latent_width % self.dec_heads:
             raise InvalidArgument(
                 f"latent width {self.latent_width} must divide by head counts "
@@ -206,25 +208,45 @@ def pos_embed(params, centers, prefix="enc.pos"):
     return eg.gelu(_aff(params, prefix, eg.as_tensor(centers)))
 
 
-def _attention(params, x, prefix, heads):
+def _last_rows(x, rows):
+    """The last ``rows`` rows of the (B, n, L) tensor ``x``; ``x`` itself
+    when that is every row."""
+    n = x.shape[1]
+    return x if rows == n else eg.split(x, [n - rows, rows], axis=1)[1]
+
+
+def _attention(params, x, prefix, heads, rows):
+    """Multi-head attention of the last ``rows`` rows of ``x`` over all of
+    them: keys and values come from every row, queries from those rows."""
     B, n, L = x.shape
     d = L // heads
 
-    def heads_of(part):
-        # (B, n, L) -> (B * heads, n, d)
-        y = eg.reshape(_aff(params, f"{prefix}.attn.{part}", x), (B, n, heads, d))
-        return eg.reshape(eg.transpose(y, (0, 2, 1, 3)), (B * heads, n, d))
+    def heads_of(part, y):
+        # (B, m, L) -> (B * heads, m, d)
+        m = y.shape[1]
+        y = eg.reshape(_aff(params, f"{prefix}.attn.{part}", y), (B, m, heads, d))
+        return eg.reshape(eg.transpose(y, (0, 2, 1, 3)), (B * heads, m, d))
 
-    q, k, v = heads_of("q"), heads_of("k"), heads_of("v")
+    q, k, v = heads_of("q", _last_rows(x, rows)), heads_of("k", x), heads_of("v", x)
     scores = eg.scale(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    attn = eg.reshape(eg.matmul(eg.softmax(scores), v), (B, heads, n, d))
-    merged = eg.reshape(eg.transpose(attn, (0, 2, 1, 3)), (B, n, L))
+    attn = eg.reshape(eg.matmul(eg.softmax(scores), v), (B, heads, rows, d))
+    merged = eg.reshape(eg.transpose(attn, (0, 2, 1, 3)), (B, rows, L))
     return _aff(params, f"{prefix}.attn.o", merged)
 
 
-def transformer_block(params, x, prefix, heads):
-    """Pre-norm block: x + MHA(LN(x)), then x + FFN(LN(x))."""
-    x = eg.add(x, _attention(params, _ln(params, f"{prefix}.ln1", x), prefix, heads))
+def transformer_block(params, x, prefix, heads, rows=None):
+    """Pre-norm block: x + MHA(LN(x)), then x + FFN(LN(x)), on the (B, n, L)
+    ``x``; returns the block's last ``rows`` rows (default: all n).
+
+    Keys and values come from every row.  The queries, the attention output,
+    LN2 and the FFN are computed for the returned rows only.  They are the
+    same rows of the whole block's output: bitwise where BLAS computes a
+    row of a product the same way in every row count, which OpenBLAS does
+    for 2 rows or more, and to rounding otherwise.
+    """
+    rows = x.shape[1] if rows is None else rows
+    attn = _attention(params, _ln(params, f"{prefix}.ln1", x), prefix, heads, rows)
+    x = eg.add(_last_rows(x, rows), attn)
     h = eg.gelu(_aff(params, f"{prefix}.ffn.fc1", _ln(params, f"{prefix}.ln2", x)))
     return eg.add(x, _aff(params, f"{prefix}.ffn.fc2", h))
 
@@ -301,6 +323,11 @@ def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
     ``x_t`` is (B, n_pred * patch_points, 3): each cloud's flat noisy point
     block of those patches.  ``t`` holds one timestep per cloud.  Returns a
     (B, n_pred, patch_points, 3) tensor.
+
+    The decoder runs over the G rows [visible..., masked...], and the
+    predictions are the last n_pred of them.  Every block but the last
+    computes all G rows; the last one computes only those n_pred rows
+    (``transformer_block``'s ``rows``), and so do its post-norm and the head.
     """
     B, n_vis = latent.tokens.shape[:2]
     masks = latent.masks
@@ -334,12 +361,9 @@ def decode(params, latent: LatentSet, x_t, t, cfg: ModelConfig):
     seq = eg.add(seq, time_embed(params, t, cfg))
 
     for i in range(cfg.dec_blocks):
-        seq = transformer_block(params, seq, f"dec.block{i}", cfg.dec_heads)
+        rows = n_pred if i == cfg.dec_blocks - 1 else None
+        seq = transformer_block(params, seq, f"dec.block{i}", cfg.dec_heads, rows)
         seq = _ln(params, f"dec.post_ln{i}", seq)
-
-    # the sequence is [visible..., masked...]; the predictions are its last n_pred rows
-    if n_pred < seq.shape[1]:
-        _, seq = eg.split(seq, [seq.shape[1] - n_pred, n_pred], axis=1)
     flat = _aff(params, "dec.head", seq)
     return eg.reshape(flat, (B, n_pred, cfg.patch_points, 3))
 

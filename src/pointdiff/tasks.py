@@ -110,8 +110,6 @@ def complete(partial_cloud: PointCloud, model: Model, schedule, seed=0,
     cfg = model.cfg
     n_masked = mask_count(cfg.mask_ratio, cfg.num_groups)
     n_visible = cfg.num_groups - n_masked
-    if n_masked < 1 or n_visible < 1:
-        raise InvalidArgument(f"degenerate completion ratio {cfg.mask_ratio}")
     expected = n_visible * cfg.group_size
     if len(partial_cloud) != expected:
         raise InvalidArgument(

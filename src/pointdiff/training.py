@@ -91,12 +91,20 @@ def chamfer_loss(pred, targets):
 
     Nearest-neighbor assignments are found per cloud on the current values;
     gradients flow through the matched coordinate differences, which are
-    gathered for the whole batch at once.  Targets may differ in size.
+    gathered for the whole batch at once.  Targets may differ in size; an
+    empty or misshapen prediction or target raises ``ShapeError``.
     """
+    if pred.data.ndim != 3 or pred.shape[2] != 3 or not pred.data.size:
+        raise ShapeError(
+            f"chamfer_loss: prediction must be a non-empty (B, n, 3), got {pred.shape}")
     B, n, _ = pred.shape
     if len(targets) != B:
         raise ShapeError(f"chamfer_loss: {len(targets)} targets for a batch of {B}")
     targets = [np.asarray(target, dtype=pred.data.dtype) for target in targets]
+    for b, target in enumerate(targets):
+        if target.ndim != 2 or target.shape[1:] != (3,) or not len(target):
+            raise ShapeError(
+                f"chamfer_loss: target {b} must be a non-empty (m, 3), got {target.shape}")
     matched, rows, weights = [], [], []
     for b, target in enumerate(targets):
         idx_fwd, idx_bwd = nearest_indices(pred.data[b], target)

@@ -366,6 +366,42 @@ def test_config_that_cannot_be_read_exits_1(workspace, capsys, command):
     assert not out.exists() or not any(out.iterdir())
 
 
+_BAD_MASK_RATIOS = ["0.999", "0.05", "1.5", "nan"]  # at G = 8, 0.999 masks every patch, 0.05 none
+
+
+@pytest.mark.parametrize("via, key, value", [
+    ("config", "enc_blocks", "-4"), ("config", "dec_blocks", "0"),
+    *[("config", "mask_ratio", r) for r in _BAD_MASK_RATIOS],
+    *[("flag", "mask_ratio", r) for r in _BAD_MASK_RATIOS],
+])
+@pytest.mark.parametrize("command", ["train-encoder", "compress"])
+def test_model_config_out_of_range_exits_2_writing_nothing(workspace, capsys, command, via,
+                                                           key, value):
+    config, argv, out = _config_run(workspace, command)
+    if via == "flag":
+        argv += ["--mask-ratio", value]
+    else:
+        rows = [row for row in config.read_text().splitlines(True)
+                if not row.startswith(f"{key} = ")]
+        config.write_text("".join(rows).replace("[model]\n", f"[model]\n{key} = {value}\n"))
+    assert run([command, "--config", str(config), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.5", "nan", "inf", "x"])
+def test_upsample_visible_fraction_must_lie_in_the_open_unit_interval(capsys, fraction):
+    argv = ["upsample", *_CKPT_ARGS]
+    cli.build_parser().parse_args(argv + ["--visible-fraction", "0.5"])
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [f"--visible-fraction={fraction}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --visible-fraction: expected a number in (0, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_train_encoder_reads_no_loss_setting_flag(workspace, capsys):
     # the loss setting selects the decoder's Chamfer target; the encoder never reads it
     ws, config, _ = workspace

@@ -401,6 +401,64 @@ def test_nearest_indices_rechecks_only_ambiguous_rows(rng):
     assert a_to_b[1] == a_to_b[4] == 3
 
 
+# the float32 filter's edges, for float64 input: each set is one that float32
+# cannot order by itself, so every row it does not settle must be rechecked
+
+
+def _finer_than_float32(rng):
+    """Queries on a unit grid, each with a point at an offset and, at a lower
+    index, one at the negated offset stretched by 1e-10: the exact nearest is
+    the second, farther by less than float32 resolves."""
+    a = np.stack(np.unravel_index(np.arange(512), (8, 8, 8)), axis=1).astype(float)
+    off = 0.1 * rng.normal(size=a.shape)
+    b = np.empty((2 * len(a), 3))
+    b[0::2], b[1::2] = a - off * (1 + 1e-10), a + off
+    return a, b
+
+
+_FLOAT32_EDGES = {
+    "finer-than-float32": _finer_than_float32,
+    # squares underflow in float32, to zero or to subnormals
+    "1e-30": lambda rng: (1e-30 * rng.normal(size=(300, 3)), 1e-30 * rng.normal(size=(257, 3))),
+    "1e-21": lambda rng: (1e-21 * rng.normal(size=(300, 3)), 1e-21 * rng.normal(size=(257, 3))),
+    # finite in float64, past float32's range
+    "1e39": lambda rng: (1e39 * rng.normal(size=(300, 3)), 1e39 * rng.normal(size=(257, 3))),
+    # one far point in each cloud among unit-scale ones
+    "1e39-outlier": lambda rng: tuple(np.concatenate([rng.normal(size=(n, 3)), [[1e39, 0, 0]]])
+                                      for n in (300, 257)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOAT32_EDGES))
+def test_nearest_indices_where_float32_cannot_order(rng, name):
+    a, b = _FLOAT32_EDGES[name](rng)
+    _assert_nearest_matches_dense(a, b)
+
+
+def test_near_ties_finer_than_float32_defeat_a_float32_argmin(rng):
+    # the set above is a real test of the recheck: float32 alone gets it wrong
+    a, b = _finer_than_float32(rng)
+    exact = dense_d2(a, b).argmin(axis=1)
+    assert np.all(exact % 2 == 1)
+    assert np.any(dense_d2(a.astype(np.float32), b.astype(np.float32)).argmin(axis=1) != exact)
+
+
+def test_float32_filter_settles_almost_every_training_row():
+    # the Chamfer loss's searches: 512-point clouds against noisy copies.  A
+    # filter bound that sent every row to the exact recheck would still give
+    # exact indices, only slowly; this count is what catches it
+    rechecked = []
+    for seed in range(2):
+        for kind in data_io.SYNTH_KINDS:
+            a = data_io.synth_shape(kind, 512, seed=seed).points
+            b = a + 0.01 * np.random.default_rng(seed).normal(size=a.shape)
+            for x, y in ((a, b), (b, a)):
+                with mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
+                    assert np.array_equal(geo._nearest_rows(x, y), dense_d2(x, y).argmin(axis=1))
+                rechecked.append(sum(len(call.args[0]) for call in exact.call_args_list))
+    assert max(rechecked) <= 10, rechecked
+
+
 # ---------------------------------------------------------------------------
 # clouds whose squared distances overflow: each path equals the dense
 # definition, in which a square past the float range is inf, and warns nothing

@@ -29,6 +29,23 @@ def test_config_validation():
         ModelConfig(timesteps=0)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(enc_blocks=0), dict(enc_blocks=-4), dict(dec_blocks=0),
+    dict(mask_ratio=0.0), dict(mask_ratio=1.0), dict(mask_ratio=1.5), dict(mask_ratio=-0.5),
+    dict(mask_ratio=float("nan")), dict(mask_ratio=float("inf")),
+    dict(mask_ratio=0.999, num_groups=8),  # masks all 8 patches
+    dict(mask_ratio=0.05, num_groups=8),  # masks none
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_config_rejects_missing_blocks_and_degenerate_masks(overrides):
+    with pytest.raises(InvalidArgument):
+        ModelConfig(**overrides)
+
+
+def test_config_accepts_the_extreme_mask_ratios_that_leave_a_patch_each_side():
+    assert ModelConfig(num_groups=8, mask_ratio=1 / 8, enc_blocks=1, dec_blocks=1)
+    assert ModelConfig(num_groups=8, mask_ratio=7 / 8)
+
+
 def test_config_dict_round_trip():
     cfg = toy_config(predict_visible=True, upsample_factor=2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -251,6 +268,79 @@ def test_batched_transformer_block_gradient(rng):
 
     def f(x):
         out = mdl.transformer_block(params, x, "enc.block0", cfg.enc_heads)
+        return eg.sum_(eg.mul(out, Tensor(weights)))
+
+    assert grad_check(f, Tensor(rng.normal(size=(2, 5, cfg.latent_width)))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the decoder's last block computes only the rows it predicts
+
+
+def _dense_decode(monkeypatch, model, latent, x_t, ts):
+    """``decode`` with every block computing all of its rows and the last
+    one then keeping its last ``rows``: the reference the pruned block must
+    equal."""
+    block = mdl.transformer_block
+
+    def dense(params, x, prefix, heads, rows=None):
+        out = block(params, x, prefix, heads)
+        return out if rows is None else Tensor(out.data[:, out.shape[1] - rows:])
+
+    with monkeypatch.context() as m:
+        m.setattr(mdl, "transformer_block", dense)
+        return model.decode(latent, x_t, ts).data
+
+
+def _decode_inputs(rng, model, batch):
+    cfg = model.cfg
+    kinds = ["sphere", "cube", "torus"][:batch]
+    sets = [segment(data_io.synth_shape(k, 128, seed=i), cfg.num_groups, cfg.group_size)
+            for i, k in enumerate(kinds)]
+    masks = tuple(model.draw_mask(i, centers=ps.centers) for i, ps in enumerate(sets))
+    vis = [m.visible_indices for m in masks]
+    tokens = mdl.encode_patches(model.params, np.stack([ps.patches[v] for ps, v in zip(sets, vis)]),
+                                np.stack([ps.centers[v] for ps, v in zip(sets, vis)]), cfg)
+    n_pred = mdl.predicted_indices(cfg, masks[0]).size
+    x_t = rng.normal(size=(batch, n_pred * cfg.patch_points, 3))
+    latent = mdl.LatentSet(tokens, np.stack([ps.centers for ps in sets]), masks)
+    return latent, x_t, [0, 9, 4][:batch]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("overrides", [
+    dict(dec_blocks=2),
+    dict(dec_blocks=2, predict_visible=True, upsample_factor=2),
+], ids=["config1", "config2"])
+def test_decode_equals_the_dense_blocks_bitwise(monkeypatch, rng, overrides, batch):
+    model = _perturbed_model(toy_config(**overrides))  # nonzero attn.o and ffn.fc2
+    assert all(np.any(p.data) for name, p in model.params.items()
+               if name.endswith((".attn.o.w", ".ffn.fc2.w")))
+    latent, x_t, ts = _decode_inputs(rng, model, batch)
+    pred = model.decode(latent, x_t, ts).data
+    assert np.array_equal(pred, _dense_decode(monkeypatch, model, latent, x_t, ts))
+
+
+def test_decode_of_one_predicted_patch_is_the_dense_blocks_to_rounding(monkeypatch, rng):
+    # one masked patch: the last block's products have one row, which BLAS
+    # may compute another way than the same row of a larger product
+    model = _perturbed_model(toy_config(mask_ratio=1 / 8))
+    latent, x_t, ts = _decode_inputs(rng, model, 3)
+    pred = model.decode(latent, x_t, ts).data
+    assert pred.shape[1] == 1
+    dense = _dense_decode(monkeypatch, model, latent, x_t, ts)
+    # a few ulps in practice (below 1e-15 of the largest output at 64 bit)
+    assert np.abs(pred - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_pruned_transformer_block_gradient(rng, rows):
+    cfg = toy_config()
+    params = _perturbed_model(cfg).params
+    weights = rng.normal(size=(2, rows, cfg.latent_width))
+
+    def f(x):
+        out = mdl.transformer_block(params, x, "dec.block0", cfg.dec_heads, rows)
         return eg.sum_(eg.mul(out, Tensor(weights)))
 
     assert grad_check(f, Tensor(rng.normal(size=(2, 5, cfg.latent_width)))) < 1e-6

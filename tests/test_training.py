@@ -52,6 +52,26 @@ def test_chamfer_loss_gradient(rng):
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("pred_shape, target_shapes", [
+    ((1, 5, 3), [(0, 3)]),
+    ((2, 5, 3), [(4, 3), (0, 3)]),
+    ((1, 5, 3), [(4, 2)]),
+    ((1, 5, 3), [(12,)]),
+    ((1, 5, 3), [(1, 4, 3)]),
+    ((1, 0, 3), [(4, 3)]),
+    ((0, 5, 3), []),
+    ((1, 3, 2), [(3, 2)]),
+    ((5, 3), [(4, 3)] * 5),
+])
+def test_chamfer_loss_rejects_empty_or_misshapen_clouds(monkeypatch, pred_shape, target_shapes):
+    def no_search(a, b):
+        raise AssertionError("searched before the shapes were checked")
+
+    monkeypatch.setattr(training, "nearest_indices", no_search)
+    with pytest.raises(ShapeError, match="chamfer_loss"):
+        training.chamfer_loss(Tensor(np.zeros(pred_shape)), [np.zeros(t) for t in target_shapes])
+
+
 def test_chamfer_loss_zero_at_match(rng):
     pts = rng.normal(size=(8, 3))
     loss = training.chamfer_loss(Tensor(pts[None].copy()), [pts])
@@ -164,6 +184,12 @@ def _with_model_config(body, edit):
     pytest.param(lambda m: m.update(latent_width="16"), id="wrong-type"),
     pytest.param(lambda m: m.update(enc_heads=0), id="zero-heads"),
     pytest.param(lambda m: m.update(latent_width=32), id="shapes-differ"),
+    # configs whose tensors the file does hold, but which no model may have
+    pytest.param(lambda m: m.update(enc_blocks=-4), id="negative-enc-blocks"),
+    pytest.param(lambda m: m.update(dec_blocks=0), id="zero-dec-blocks"),
+    pytest.param(lambda m: m.update(mask_ratio=0.999), id="mask-ratio-masking-all"),
+    pytest.param(lambda m: m.update(mask_ratio=1.5), id="mask-ratio-above-one"),
+    pytest.param(lambda m: m.update(mask_ratio=float("nan")), id="nan-mask-ratio"),
 ])
 def test_load_model_rejects_forged_config(tmp_path, edit):
     path = tmp_path / "f.ckpt"

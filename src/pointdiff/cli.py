@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, data_io, diffusion, metrics, tasks, training
 from . import engine as eg
-from .errors import InvalidArgument, PointdiffError
+from .errors import InvalidArgument, ParseError, PointdiffError
 from .model import Model, ModelConfig
 from .training import TrainConfig
 
@@ -133,6 +133,10 @@ def _load_dataset(run_raw):
         raise UsageError("config [run] must name a dataset manifest")
     target = _coerce(run_raw.get("target_points", "2048"), int, "target_points")
     manifest = data_io.read_manifest(manifest_path, target)
+    splits = sorted({entry.split for entry in manifest.entries})
+    if "train" not in splits:
+        found = ", ".join(map(repr, splits)) or "none"
+        raise ParseError(f"{manifest_path}: no entry has split 'train' (splits found: {found})")
     return manifest.load(split="train")
 
 

@@ -324,8 +324,13 @@ def embedding_lookup(table, indices):
     data = table.data[indices]
 
     def bwd(g):
+        # one flat scatter of cell row * D + col: each cell still sums its
+        # terms in index order, as a row scatter would, and numpy's 1-D
+        # np.add.at is the fast path
         full = np.zeros_like(table.data)
-        np.add.at(full, indices, g)
+        width = math.prod(table.data.shape[1:])
+        cells = indices.reshape(-1, 1) * width + np.arange(width)
+        np.add.at(full.reshape(-1), cells.reshape(-1), g.reshape(-1))
         return [(table, full)]
 
     return _make(data, (table,), bwd)

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, ShapeError
 
 # distance-matrix elements per block of the blocked searches (~0.5 MiB at 64-bit)
 _NN_BLOCK_ELEMS = 1 << 16
@@ -141,8 +141,11 @@ def nearest_indices(a, b):
     Equal to ``sq_dists(a, b).argmin(axis=1)`` and ``.argmin(axis=0)`` for
     finite floating-point inputs, ties going to the lowest index.  The
     b -> a search is the same row search on ``sq_dists(b, a)``, which is
-    bitwise the transpose because ``b - a`` is exactly ``-(a - b)``.
+    bitwise the transpose because ``b - a`` is exactly ``-(a - b)``.  An
+    empty cloud on either side has no nearest neighbour: ``ShapeError``.
     """
+    if not (len(a) and len(b)):
+        raise ShapeError(f"nearest_indices: empty cloud ({len(a)} and {len(b)} points)")
     # squared distances that overflow are inf, and their rows are rechecked
     with np.errstate(over="ignore", invalid="ignore"):
         return _nearest_rows(a, b), _nearest_rows(b, a)

@@ -254,15 +254,29 @@ def transformer_block(params, x, prefix, heads, rows=None):
 # ---------------------------------------------------------------------------
 # encoder
 
-def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
-    """Encoder core on explicit visible patches, (B, V, group_size, 3) with
-    their (B, V, 3) centers; returns (B, V, L) tokens."""
-    tokens = token_embed(params, vis_patches, cfg)
+def embed_patches(params, patches, centers, cfg: ModelConfig):
+    """The encoder's input tokens: ``token_embed`` of the (B, P,
+    group_size, 3) patches plus, when enabled, ``pos_embed`` of their
+    (B, P, 3) centers; (B, P, L).  Each token depends on its own patch
+    alone."""
+    tokens = token_embed(params, patches, cfg)
     if cfg.use_position_embedding:
-        tokens = eg.add(tokens, pos_embed(params, vis_centers, "enc.pos"))
+        tokens = eg.add(tokens, pos_embed(params, centers, "enc.pos"))
+    return tokens
+
+
+def encode_tokens(params, tokens, cfg: ModelConfig):
+    """The encoder's transformer blocks and final norm on (B, V, L) input
+    tokens."""
     for i in range(cfg.enc_blocks):
         tokens = transformer_block(params, tokens, f"enc.block{i}", cfg.enc_heads)
     return _ln(params, "enc.final_ln", tokens)
+
+
+def encode_patches(params, vis_patches, vis_centers, cfg: ModelConfig):
+    """Encoder core on explicit visible patches, (B, V, group_size, 3) with
+    their (B, V, 3) centers; returns (B, V, L) tokens."""
+    return encode_tokens(params, embed_patches(params, vis_patches, vis_centers, cfg), cfg)
 
 
 def encode(params, centers, visible, mask: MaskSpec, cfg: ModelConfig) -> LatentSet:

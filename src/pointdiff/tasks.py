@@ -141,6 +141,12 @@ def upsample(low_res_cloud: PointCloud, model: Model, schedule, seed=0,
     cfg = model.cfg
     if not cfg.predict_visible:
         raise InvalidArgument("upsampling requires a Config 2 model (predict_visible)")
+    try:
+        mask_count(1.0 - visible_fraction, cfg.num_groups)
+    except InvalidArgument:
+        raise InvalidArgument(
+            f"visible_fraction={visible_fraction} must leave at least one visible and one "
+            f"masked patch of G={cfg.num_groups}") from None
     centers, mask, visible = _visible_patches(low_res_cloud, cfg, 1.0 - visible_fraction,
                                               "random", seed)
     return _generate(model, centers, visible, mask, schedule, seed)

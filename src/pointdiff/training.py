@@ -35,7 +35,9 @@ from .model import (
     Model,
     ModelConfig,
     decode,
+    embed_patches,
     encode_patches,
+    encode_tokens,
     encoder_pretrain_head,
     param_layout,
     predicted_indices,
@@ -320,7 +322,8 @@ def _check_layout(cfg: ModelConfig, stored):
 
 def _segment_dataset(dataset, cfg: ModelConfig):
     """Clouds of ``dataset`` (PointClouds, arrays or (id, cloud) pairs) and
-    their patch sets at the encoder's group size."""
+    their patch sets at the encoder's group size.  An empty dataset raises
+    ``InvalidArgument``."""
     clouds = []
     for i, item in enumerate(dataset):
         cloud = item[1] if isinstance(item, tuple) else item
@@ -330,6 +333,8 @@ def _segment_dataset(dataset, cfg: ModelConfig):
                 f"dataset item {i} has {len(cloud)} points, fewer than G={cfg.num_groups}"
             )
         clouds.append(cloud)
+    if not clouds:
+        raise InvalidArgument("the dataset holds no clouds")
     return clouds, [segment(c, cfg.num_groups, cfg.group_size) for c in clouds]
 
 
@@ -428,10 +433,17 @@ def train_decoder(dataset, encoder_model: Model, train_cfg: TrainConfig, schedul
         x0 = targets[i].patches[rows].reshape(-1, 3)
         return t, q_sample(x0, t, rng.standard_normal(x0.shape), schedule)
 
+    # the frozen encoder's input tokens depend on the patch alone, not on
+    # the mask: embed every item's G patches once, then gather each step's
+    # visible rows and run only the transformer blocks
+    with eg.no_grad():  # the encoder is frozen: its forward records no graph
+        embedded = [embed_patches(model.params, ps.patches[None], ps.centers[None], cfg).data[0]
+                    for ps in patchsets]
+
     def batch_loss(epoch, items, masks):
-        patches, centers = _visible_batch(patchsets, items, masks)
-        with eg.no_grad():  # the encoder is frozen: its forward records no graph
-            tokens = encode_patches(model.params, patches, centers, cfg)
+        with eg.no_grad():
+            tokens = encode_tokens(model.params, Tensor(np.stack(
+                [embedded[i][m.visible_indices] for i, m in zip(items, masks)])), cfg)
         rows = [predicted_indices(cfg, m) for m in masks]
         ts, x_t = zip(*(noisy(epoch, i, r) for i, r in zip(items, rows)))
         latent = LatentSet(tokens=tokens, masks=tuple(masks),
@@ -447,7 +459,8 @@ def train_decoder(dataset, encoder_model: Model, train_cfg: TrainConfig, schedul
             return chamfer_loss(pred_pts, [targets[i].absolute(m.masked_indices).reshape(-1, 3)
                                            for i, m in zip(items, masks)])
         if not cfg.predict_visible:
-            pred_pts = eg.concat([Tensor(_absolute(patches, centers)), pred_pts], axis=1)
+            visible = _absolute(*_visible_batch(patchsets, items, masks))
+            pred_pts = eg.concat([Tensor(visible), pred_pts], axis=1)
         return chamfer_loss(pred_pts, [clouds[i].points for i in items])
 
     curve = _fit(model, "dec.", patchsets, train_cfg, batch_loss)

@@ -315,6 +315,22 @@ def _config_run(workspace, command):
     return config, argv, out
 
 
+@pytest.mark.parametrize("command", ["train-encoder", "train-decoder"])
+def test_manifest_without_train_rows_exits_1_writing_nothing(workspace, capsys, command):
+    # a misspelled split must not train on nothing: the one error line names
+    # the splits the manifest does hold, and no run metadata is written
+    config, argv, out = _config_run(workspace, command)
+    (workspace[0] / "data.tsv").write_text(
+        "s1\tsynth:sphere:96:0.0:1\tTrain\n"
+        "s2\tsynth:cube:96:0.0:2\ttrian\n"
+    )
+    assert run([command, "--config", str(config), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "'Train', 'trian'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, line", [
     ("compress", "train", "epochs = 999"),
     ("compress", "schedule", "beta_start = 0.9"),
@@ -400,6 +416,21 @@ def test_upsample_visible_fraction_must_lie_in_the_open_unit_interval(capsys, fr
     err = capsys.readouterr().err
     assert "error: argument --visible-fraction: expected a number in (0, 1)" in err
     assert "Traceback" not in err
+
+
+def test_upsample_visible_fraction_that_leaves_an_empty_side_exits_1(tmp_path, capsys):
+    # 0.001 passes the flag's own range check, but at G=8 it leaves no
+    # visible patch: one error line names the flag's value and G
+    cfg = toy_config(timesteps=3, predict_visible=True, upsample_factor=2)
+    ckpt, cloud, out = tmp_path / "m.ckpt", tmp_path / "c.ply", tmp_path / "up.ply"
+    training.save_checkpoint(ckpt, cfg, Model.create(cfg, seed=0).params)
+    data_io.save_cloud(data_io.synth_shape("sphere", 128, seed=1), cloud)
+    assert run(["upsample", "--in", str(cloud), "--ckpt-decoder", str(ckpt),
+                "--visible-fraction", "0.001", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: visible_fraction=0.001 ") and err.count("\n") == 1
+    assert "G=8" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_encoder_reads_no_loss_setting_flag(workspace, capsys):

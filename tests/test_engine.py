@@ -134,6 +134,22 @@ def test_embedding_lookup_grad(rng):
     assert grad_check(f, Tensor(table)) < 1e-6
 
 
+@pytest.mark.parametrize("bits", [64, 32])
+def test_embedding_lookup_scatter_equals_the_row_scatter(rng, bits):
+    # repeated indices whose terms span many magnitudes, so any change in
+    # the order a cell sums them would show; oracle: 2-D np.add.at over rows
+    with eg.precision(bits):
+        table = Tensor(rng.normal(size=(7, 5)))
+        idx = rng.integers(0, 7, size=200)
+        weights = rng.normal(size=(200, 5)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+        out = eg.embedding_lookup(table, idx)
+        grad = eg.backward(eg.sum_(eg.mul(out, Tensor(weights))), {"t": table})["t"]
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, idx, Tensor(weights).data)
+    assert grad.dtype == np.dtype(f"float{bits}")
+    assert np.array_equal(grad, expected)
+
+
 def test_concat_split_grad(rng):
     x = rng.normal(size=(6, 2))
 

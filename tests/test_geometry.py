@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_d2
 from pointdiff import data_io, geometry as geo
-from pointdiff.errors import InvalidArgument
+from pointdiff.errors import InvalidArgument, ShapeError
 from pointdiff.geometry import PointCloud
 
 
@@ -327,6 +327,13 @@ def test_nearest_indices_one_by_one():
     b = np.array([[3.0, 0.0, 0.0]])
     a_to_b, b_to_a = geo.nearest_indices(a, b)
     assert a_to_b.tolist() == [0] and b_to_a.tolist() == [0]
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (0, 3), (0, 0)])
+def test_nearest_indices_rejects_an_empty_cloud(n, m):
+    # no nearest neighbour exists; numpy's reduction error must not escape
+    with pytest.raises(ShapeError, match="empty cloud"):
+        geo.nearest_indices(np.zeros((n, 3)), np.zeros((m, 3)))
 
 
 def test_nearest_indices_rows_not_a_multiple_of_block_rows(rng):

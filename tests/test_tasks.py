@@ -246,6 +246,16 @@ def test_upsample_requires_config2(sphere_cloud):
         tasks.upsample(sphere_cloud, model, schedule)
 
 
+@pytest.mark.parametrize("fraction", [0.01, 0.99])
+def test_upsample_names_a_visible_fraction_that_leaves_an_empty_side(sphere_cloud, fraction):
+    # at G=8, 0.01 leaves no visible patch and 0.99 no masked one; the error
+    # names the argument the caller gave, not the mask ratio derived from it
+    model, schedule = make_model(predict_visible=True, upsample_factor=2)
+    with pytest.raises(InvalidArgument,
+                       match=rf"^visible_fraction={fraction} must leave .* of G=8$"):
+        tasks.upsample(sphere_cloud, model, schedule, visible_fraction=fraction)
+
+
 # ---------------------------------------------------------------------------
 # codec
 

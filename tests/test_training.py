@@ -19,7 +19,7 @@ from pointdiff.errors import (
     UnsupportedVersion,
 )
 from pointdiff import model as model_module
-from pointdiff.geometry import MaskStrategy
+from pointdiff.geometry import MaskStrategy, mask_count, segment
 from pointdiff.model import Model
 from pointdiff.training import LossSetting, TrainConfig
 
@@ -446,24 +446,122 @@ def test_train_decoder_runs_and_checkpoints(setting, every, ends):
 
 def test_only_the_trained_phase_records_the_encoder_forward(monkeypatch):
     # the pretraining forward feeds the encoder's gradients; the frozen
-    # encoder's forward in decoder training runs under no_grad
+    # encoder's embedding and blocks in decoder training run under no_grad
     cfg = toy_config()
     data = tiny_dataset()
     tc = TrainConfig(epochs=1, batch_size=2, seed=0)
-    encode_patches = training.encode_patches
-    recorded = []
+    recorded = {}
+    for name in ("encode_patches", "embed_patches", "encode_tokens"):
+        def wrapped(*args, _fn=getattr(training, name), _log=recorded.setdefault(name, []),
+                    **kwargs):
+            tokens = _fn(*args, **kwargs)
+            _log.append(bool(tokens._parents))
+            return tokens
 
-    def wrapped(*args, **kwargs):
-        tokens = encode_patches(*args, **kwargs)
-        recorded.append(bool(tokens._parents))
-        return tokens
-
-    monkeypatch.setattr(training, "encode_patches", wrapped)
+        monkeypatch.setattr(training, name, wrapped)
     enc, _ = training.pretrain_encoder(data, cfg, tc)
-    assert recorded == [True]
-    recorded.clear()
+    assert recorded == {"encode_patches": [True], "embed_patches": [], "encode_tokens": []}
+    for log in recorded.values():
+        log.clear()
     training.train_decoder(data, enc, tc, diffusion.build_schedule(cfg.timesteps))
-    assert recorded == [False]
+    # one embedding per dataset item, one block pass per step
+    assert recorded == {"encode_patches": [], "embed_patches": [False, False],
+                        "encode_tokens": [False]}
+
+
+def _per_step_encoder(monkeypatch, data, cfg):
+    """Make ``train_decoder`` encode each step's visible patches of ``data``
+    with ``encode_patches``, the reference its embedding table must equal.
+    The block pass ignores the table's rows: it encodes the patches of the
+    masks the step drew, item ``i`` drawing the mask keyed ``(seed, epoch
+    key, i)``, from its own segmentation."""
+    patchsets = [segment(c, cfg.num_groups, cfg.group_size) for c in data]
+    drawn = []
+    draw_mask = Model.draw_mask
+
+    def recording(self, key, **kwargs):
+        mask = draw_mask(self, key, **kwargs)
+        drawn.append((patchsets[key[2]], mask.visible_indices))
+        return mask
+
+    def encode_visible(params, rows, cfg):
+        assert len(drawn) == rows.shape[0]
+        patches = np.stack([ps.patches[v] for ps, v in drawn])
+        centers = np.stack([ps.centers[v] for ps, v in drawn])
+        drawn.clear()
+        return model_module.encode_patches(params, patches, centers, cfg)
+
+    monkeypatch.setattr(Model, "draw_mask", recording)
+    monkeypatch.setattr(training, "encode_tokens", encode_visible)
+
+
+def _decoder_runs(monkeypatch, cfg, setting, bits=64):
+    """``train_decoder``'s curve and parameters, then the per-step
+    reference's, on three clouds at batch 2 over three epochs."""
+    runs = []
+    for reference in (False, True):
+        with eg.precision(bits):
+            data = tiny_dataset(3)
+            if reference:
+                _per_step_encoder(monkeypatch, data, cfg)
+            enc = Model.create(cfg, seed=3)
+            tc = TrainConfig(epochs=3, batch_size=2, lr=1e-3, seed=2, loss_setting=setting)
+            model, curve, _ = training.train_decoder(
+                data, enc, tc, diffusion.build_schedule(cfg.timesteps))
+        runs.append((curve, model.params))
+    return runs
+
+
+@pytest.mark.parametrize("overrides, setting, bits", [
+    pytest.param(dict(), LossSetting.ENTIRE_OBJECT, 64, id="config1-entire-object"),
+    pytest.param(dict(), LossSetting.MASKED_ONLY, 64, id="config1-masked-only"),
+    pytest.param(dict(), LossSetting.ENTIRE_OBJECT, 32, id="config1-entire-object-32"),
+    pytest.param(dict(predict_visible=True, upsample_factor=2), LossSetting.ENTIRE_OBJECT, 64,
+                 id="config2-upsample-entire-object"),
+    pytest.param(dict(use_position_embedding=False), LossSetting.ENTIRE_OBJECT, 64,
+                 id="no-position-embedding"),
+])
+def test_embedding_table_equals_per_step_encoding(monkeypatch, overrides, setting, bits):
+    # at V=2 visible patches every product row is computed as in the
+    # per-step encoder's, so the whole run is bitwise that reference's
+    cfg = toy_config(**overrides)
+    assert cfg.num_groups - mask_count(cfg.mask_ratio, cfg.num_groups) == 2
+    (curve, params), (ref_curve, ref_params) = _decoder_runs(monkeypatch, cfg, setting, bits)
+    assert curve == ref_curve
+    for name, p in params.items():
+        assert np.array_equal(p.data, ref_params[name].data), name
+
+
+def test_embedding_table_with_one_visible_patch_is_within_rounding(monkeypatch):
+    # a 1-row product takes another BLAS path than the table's G-row one,
+    # so at V=1 the run may differ from the reference, by rounding only
+    cfg = toy_config(mask_ratio=0.875)
+    assert cfg.num_groups - mask_count(cfg.mask_ratio, cfg.num_groups) == 1
+    (curve, params), (ref_curve, ref_params) = _decoder_runs(
+        monkeypatch, cfg, LossSetting.ENTIRE_OBJECT)
+    np.testing.assert_allclose(curve, ref_curve, rtol=1e-12, atol=0)
+    for name, p in params.items():
+        np.testing.assert_allclose(p.data, ref_params[name].data, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_train_decoder_embeds_each_item_once(monkeypatch):
+    # three items at batch 2 over three epochs take six steps; the frozen
+    # encoder's token embedding runs once per item, over all its G patches
+    cfg = toy_config()
+    shapes = []
+    token_embed = model_module.token_embed
+
+    def counting(params, patches, cfg):
+        shapes.append(patches.shape)
+        return token_embed(params, patches, cfg)
+
+    monkeypatch.setattr(model_module, "token_embed", counting)
+    steps = _step_losses(monkeypatch, lambda: training.train_decoder(
+        tiny_dataset(3), Model.create(cfg, seed=0), TrainConfig(epochs=3, batch_size=2),
+        diffusion.build_schedule(cfg.timesteps)))
+    assert len(steps) == 6
+    assert shapes == [(1, cfg.num_groups, cfg.group_size, 3)] * 3
 
 
 def _dense_nearest(calls):
@@ -499,6 +597,29 @@ def test_training_search_equals_dense_argmin_end_to_end(monkeypatch, bits):
     for name, p in params.items():
         assert p.data.dtype == np.dtype(f"float{bits}")
         assert np.array_equal(p.data, dense_params[name].data), name
+
+
+@pytest.mark.parametrize("phase", ["encoder", "decoder"])
+def test_an_empty_dataset_is_refused_before_any_model_is_built(monkeypatch, phase):
+    # an empty dataset would give the loss curve [nan, ...] and a checkpoint
+    # of initial weights
+    cfg = toy_config()
+    encoder = Model.create(cfg, seed=0)
+    created = []
+    create = Model.create
+
+    def recording(*args, **kwargs):
+        created.append(args)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "create", recording)
+    with pytest.raises(InvalidArgument, match="no clouds"):
+        if phase == "encoder":
+            training.pretrain_encoder([], cfg, TrainConfig(epochs=2))
+        else:
+            training.train_decoder(iter([]), encoder, TrainConfig(epochs=2),
+                                   diffusion.build_schedule(cfg.timesteps))
+    assert created == []
 
 
 def test_train_decoder_schedule_mismatch():

@@ -315,27 +315,6 @@ def layer_norm(a):
     return _make(xhat.astype(a.data.dtype), (a,), bwd)
 
 
-def embedding_lookup(table, indices):
-    """Gather rows of ``table`` (first axis) at integer ``indices``."""
-    table = as_tensor(table)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= table.data.shape[0]):
-        raise InvalidArgument("embedding_lookup: index out of range")
-    data = table.data[indices]
-
-    def bwd(g):
-        # one flat scatter of cell row * D + col: each cell still sums its
-        # terms in index order, as a row scatter would, and numpy's 1-D
-        # np.add.at is the fast path
-        full = np.zeros_like(table.data)
-        width = math.prod(table.data.shape[1:])
-        cells = indices.reshape(-1, 1) * width + np.arange(width)
-        np.add.at(full.reshape(-1), cells.reshape(-1), g.reshape(-1))
-        return [(table, full)]
-
-    return _make(data, (table,), bwd)
-
-
 def max_pool(a, axis):
     """Max over one axis; gradient routes to the first arg-max entry."""
     a = as_tensor(a)

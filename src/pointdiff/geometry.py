@@ -15,7 +15,8 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument, ShapeError
 
-# distance-matrix elements per block of the blocked searches (~0.5 MiB at 64-bit)
+# distance-matrix elements per block of the blocked searches (~0.5 MiB at 64-bit;
+# the Chamfer search's float32 blocks take four times as many, 1 MiB)
 _NN_BLOCK_ELEMS = 1 << 16
 
 # candidates per row beyond k that knn_group takes from its KD-tree.  One is
@@ -136,36 +137,54 @@ def sq_dists(a, b, out=None):
 
 
 def nearest_indices(a, b):
-    """Nearest-neighbour indices both ways: a -> b (n,) and b -> a (m,).
+    """Nearest-neighbour indices both ways, item by item: a -> b and b -> a.
 
-    Equal to ``sq_dists(a, b).argmin(axis=1)`` and ``.argmin(axis=0)`` for
-    finite floating-point inputs, ties going to the lowest index.  The
-    b -> a search is the same row search on ``sq_dists(b, a)``, which is
-    bitwise the transpose because ``b - a`` is exactly ``-(a - b)``.  An
-    empty cloud on either side has no nearest neighbour: ``ShapeError``.
+    ``a`` is (B, n, 3) and ``b`` (B, m, 3); the results are (B, n) and
+    (B, m), item i's equal to ``sq_dists(a[i], b[i]).argmin(axis=1)`` and
+    ``.argmin(axis=0)`` for finite floating-point inputs, ties going to the
+    lowest index.  A single pair (n, 3) and (m, 3) is the batch of one, and
+    its results come back as (n,) and (m,).  The b -> a search is the same
+    row search on ``sq_dists(b, a)``, which is bitwise the transpose because
+    ``b - a`` is exactly ``-(a - b)``.  An empty cloud on either side has no
+    nearest neighbour, and batches of different lengths pair nothing:
+    ``ShapeError``.
     """
-    if not (len(a) and len(b)):
-        raise ShapeError(f"nearest_indices: empty cloud ({len(a)} and {len(b)} points)")
+    a, b = np.asarray(a), np.asarray(b)
+    pair = a.ndim == 2
+    if pair:
+        a, b = a[None], b[None]
+    if len(a) != len(b):
+        raise ShapeError(f"nearest_indices: batches of {len(a)} and {len(b)} items")
+    if not (a.size and b.size):
+        raise ShapeError(
+            f"nearest_indices: empty cloud ({a.shape[-2]} and {b.shape[-2]} points)")
     # squared distances that overflow are inf, and their rows are rechecked
     with np.errstate(over="ignore", invalid="ignore"):
-        return _nearest_rows(a, b), _nearest_rows(b, a)
+        a_to_b, b_to_a = _nearest_rows(a, b), _nearest_rows(b, a)
+    return (a_to_b[0], b_to_a[0]) if pair else (a_to_b, b_to_a)
 
 
 def _nearest_rows(a, b):
-    """``sq_dists(a, b).argmin(axis=1)``, ties to the lowest index.
+    """``sq_dists(a[i], b[i]).argmin(axis=1)`` for every item i of the
+    batches ``a`` (B, n, 3) and ``b`` (B, m, 3), ties to the lowest index.
 
-    Rows go in blocks of about ``_NN_BLOCK_ELEMS`` elements.  One float32
-    BLAS product per block gives approximate squared distances from shifted,
-    augmented coordinates, ``[x, |x|^2, 1] @ [-2y, 1, |y|^2]^T`` with
-    ``x = a - c`` and ``y = b - c`` for ``c`` the centre of b's bounding
-    box: the shift and the norms are computed in the input dtype and then
-    cast to float32.  A row whose second-smallest approximate value exceeds
-    its smallest by more than ``2 * delta`` has the same unique minimum in
-    ``sq_dists``; every other row is recomputed exactly, in the input dtype.
+    The set-up runs once over the whole batch: the float32 filter's
+    coordinates, ``[x, |x|^2, 1]`` and ``[-2y, 1, |y|^2]`` with ``x = a - c``
+    and ``y = b - c`` for ``c`` the centre of the item's own b bounding box
+    (the shift and the norms in the input dtype, then cast to float32), and
+    each row's ``delta``.  Rows then go in blocks of about
+    ``4 * _NN_BLOCK_ELEMS`` float32 elements across the batch (1 MiB), one
+    batched BLAS product ``(B, r, 5) @ (B, 5, m)`` per block giving
+    approximate squared distances.  A row whose second-smallest approximate
+    value exceeds its smallest by more than ``2 * delta`` has the same unique
+    minimum in ``sq_dists``; every other row of every item is recomputed
+    once, at the end, with ``sq_dists`` in the input dtype, item by item in
+    chunks of at most as many elements.
 
-    ``delta`` bounds |approx - sq_dists| for a row at x.  Let u = 2^-24 be
-    float32's unit roundoff, U <= u the input dtype's (U = u for float32
-    input), S = |x|^2 + max |y|^2 and tiny float32's smallest subnormal.
+    ``delta`` bounds |approx - sq_dists| for a row at x, whatever order and
+    fusing the BLAS product uses.  Let u = 2^-24 be float32's unit roundoff,
+    U <= u the input dtype's (U = u for float32 input), S = |x|^2 + max |y|^2
+    over the row's own item and tiny float32's smallest subnormal.
     Each rounding is off by at most u (or U) times its result plus tiny / 2.
     To first order in u:
       - ``sq_dists`` is within 5U * |a - b|^2 <= 10U * S of the true
@@ -189,41 +208,50 @@ def _nearest_rows(a, b):
     Rows with S past an eighth of float32's largest value may overflow the
     casts or the product and are always recomputed; S is summed in the
     input dtype, so a coordinate past float32's range always puts its row
-    there, or every row for a coordinate of b.
+    there, or every row of its item for a coordinate of b.  Items share
+    nothing but the product call, so one item's overflow or near-ties leave
+    every other item's rows as they would be alone.
     """
     dt = np.result_type(a, b)
     a, b = np.asarray(a, dtype=dt), np.asarray(b, dtype=dt)
-    n, m = len(a), len(b)
+    B, n, m = a.shape[0], a.shape[1], b.shape[1]
     f32 = np.finfo(np.float32)
-    bt = np.ascontiguousarray(b.T)  # b's coordinate rows reduce faster than its columns
-    c = (bt.min(axis=1) + bt.max(axis=1)) / 2
-    x, yt = a - c, bt - c[:, None]
-    x_sq, y_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->j", yt, yt)
-    xs = np.empty((n, 5), dtype=np.float32)  # [x, |x|^2, 1]
-    xs[:, :3] = x
-    xs[:, 3] = x_sq
-    xs[:, 4] = 1
-    ys = np.empty((5, m), dtype=np.float32)  # [-2y, 1, |y|^2]^T
-    ys[:3] = -2 * yt
-    ys[3] = 1
-    ys[4] = y_sq
-    s = x_sq + y_sq.max()
-    delta = np.where(s <= f32.max / 8, 16 * f32.eps * s + 64 * f32.smallest_subnormal, np.inf)
+    bt = np.ascontiguousarray(b.transpose(0, 2, 1))  # coordinate rows reduce faster than columns
+    c = (bt.min(axis=2) + bt.max(axis=2)) / 2
+    x, yt = a - c[:, None], bt - c[:, :, None]
+    x_sq, y_sq = np.einsum("bij,bij->bi", x, x), np.einsum("bij,bij->bj", yt, yt)
+    xs = np.empty((B, n, 5), dtype=np.float32)  # [x, |x|^2, 1]
+    xs[..., :3] = x
+    xs[..., 3] = x_sq
+    xs[..., 4] = 1
+    ys = np.empty((B, 5, m), dtype=np.float32)  # [-2y, 1, |y|^2]^T
+    ys[:, :3] = -2 * yt
+    ys[:, 3] = 1
+    ys[:, 4] = y_sq
+    s = x_sq + y_sq.max(axis=1, keepdims=True)
+    gap = np.where(s <= f32.max / 8, 2 * (16 * f32.eps * s + 64 * f32.smallest_subnormal), np.inf)
 
-    nearest = np.empty(n, dtype=np.intp)
-    rows = max(1, _NN_BLOCK_ELEMS // m)
-    buf = np.empty((min(rows, n), m), dtype=np.float32)
+    nearest = np.empty((B, n), dtype=np.intp)
+    settled = np.empty((B, n), dtype=bool)
+    elems = 4 * _NN_BLOCK_ELEMS
+    rows = max(1, elems // (B * m))
+    buf = np.empty(B * min(rows, n) * m, dtype=np.float32)
     for lo in range(0, n, rows):
-        d = np.matmul(xs[lo : lo + rows], ys, out=buf[: min(rows, n - lo)])
+        hi = min(lo + rows, n)
+        d = np.matmul(xs[:, lo:hi], ys, out=buf[: B * (hi - lo) * m].reshape(B, hi - lo, m))
+        d = d.reshape(-1, m)
         r = np.arange(len(d))
         j0 = d.argmin(axis=1)
         d0 = d[r, j0]
         d[r, j0] = np.inf
-        nearest[lo : lo + len(d)] = j0
-        settled = d[r, d.argmin(axis=1)] - d0 > 2 * delta[lo : lo + len(d)]
-        recheck = lo + np.flatnonzero(~settled)
-        if recheck.size:
-            nearest[recheck] = sq_dists(a[recheck], b).argmin(axis=1)
+        nearest[:, lo:hi] = j0.reshape(B, -1)
+        settled[:, lo:hi] = (d[r, d.argmin(axis=1)] - d0).reshape(B, -1) > gap[:, lo:hi]
+    step = max(1, elems // m)
+    for i, unsettled in enumerate(~settled):
+        recheck = np.flatnonzero(unsettled)
+        for k in range(0, len(recheck), step):
+            q = recheck[k : k + step]
+            nearest[i, q] = sq_dists(a[i, q], b[i]).argmin(axis=1)
     return nearest
 
 

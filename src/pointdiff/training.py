@@ -79,6 +79,11 @@ class TrainConfig:
             raise InvalidArgument("epochs and batch_size must be positive")
         if self.checkpoint_every < 0:
             raise InvalidArgument("checkpoint_every must be >= 0")
+        if self.remask_every < 0:
+            raise InvalidArgument(f"remask_every must be >= 0, got {self.remask_every}")
+        # a NaN rate trains to NaN weights and a negative one ascends the loss
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidArgument(f"lr must be finite and positive, got {self.lr}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
@@ -91,10 +96,17 @@ def chamfer_loss(pred, targets):
     """Mean over a batch of the Chamfer-L2 between each predicted cloud of
     ``pred`` (B, n, 3) and its fixed target ``targets[b]`` (m_b, 3).
 
-    Nearest-neighbor assignments are found per cloud on the current values;
-    gradients flow through the matched coordinate differences, which are
-    gathered for the whole batch at once.  Targets may differ in size; an
-    empty or misshapen prediction or target raises ``ShapeError``.
+    Nearest-neighbour assignments come from the current values, one batched
+    ``nearest_indices`` call for all items whose targets have the same size.
+    The loss is one tape node whose backward is the composed graph's, term
+    for term: with ``d_f`` each predicted point minus its nearest target
+    point, ``d_b`` each target point's nearest predicted point minus it,
+    ``s = 1 / (B * n)`` and ``w = 1 / (B * m_b)`` per target point, the
+    loss is ``sum(d_f^2) * s + sum(sum(d_b^2, axis=1) * w)`` and its
+    gradient ``(s d_f + s d_f) + scatter(w d_b + w d_b)``, the scatter
+    summing each predicted point's terms in target order.  Targets may
+    differ in size; an empty or misshapen prediction or target raises
+    ``ShapeError``.
     """
     if pred.data.ndim != 3 or pred.shape[2] != 3 or not pred.data.size:
         raise ShapeError(
@@ -102,25 +114,46 @@ def chamfer_loss(pred, targets):
     B, n, _ = pred.shape
     if len(targets) != B:
         raise ShapeError(f"chamfer_loss: {len(targets)} targets for a batch of {B}")
-    targets = [np.asarray(target, dtype=pred.data.dtype) for target in targets]
+    dtype = pred.data.dtype
+    targets = [np.asarray(target, dtype=dtype) for target in targets]
     for b, target in enumerate(targets):
         if target.ndim != 2 or target.shape[1:] != (3,) or not len(target):
             raise ShapeError(
                 f"chamfer_loss: target {b} must be a non-empty (m, 3), got {target.shape}")
-    matched, rows, weights = [], [], []
-    for b, target in enumerate(targets):
-        idx_fwd, idx_bwd = nearest_indices(pred.data[b], target)
-        matched.append(target[idx_fwd])
-        rows.append(idx_bwd + b * n)  # row of the flattened (B * n, 3) batch
-        weights.append(np.full(len(target), 1.0 / (B * len(target))))
+    p = pred.data
+    sizes = np.array([len(target) for target in targets])
+    first = np.cumsum(sizes) - sizes  # each item's first row in ``target``
+    target = np.concatenate(targets)
+    matched, rows = np.empty((B, n), dtype=np.intp), [None] * B
+    for m in np.unique(sizes):
+        items = np.flatnonzero(sizes == m)
+        idx_fwd, idx_bwd = nearest_indices(p[items], np.stack([targets[b] for b in items]))
+        matched[items] = idx_fwd + first[items, None]
+        for b, idx in zip(items, idx_bwd):
+            rows[b] = idx + b * n  # row of the flattened (B * n, 3) batch
+    rows = np.concatenate(rows)
+    weights = np.repeat(1.0 / (B * sizes), sizes).astype(dtype)
+    s = dtype.type(1.0 / (B * n))
+    # the backward term coordinate-major, (3, M), so that every elementwise
+    # step runs along the M targets rather than along rows of three
+    d_f = p - np.take(target, matched, axis=0)
+    d_b = np.take(p.reshape(-1, 3).T, rows, axis=1) - target.T
+    sq_f, sq_b = d_f * d_f, d_b * d_b
+    # each point's squares added as numpy's sum over an axis of three adds
+    # them, (x + y) + z, as the composed graph's sum_ did
+    loss = (((sq_f[..., 0] + sq_f[..., 1]) + sq_f[..., 2]).sum() * s
+            + (((sq_b[0] + sq_b[1]) + sq_b[2]) * weights).sum())
 
-    diff_fwd = eg.sub(pred, Tensor(np.stack(matched)))
-    term_fwd = eg.mean(eg.sum_(eg.mul(diff_fwd, diff_fwd), axis=-1))
-    gathered = eg.embedding_lookup(eg.reshape(pred, (B * n, 3)), np.concatenate(rows))
-    diff_bwd = eg.sub(gathered, Tensor(np.concatenate(targets)))
-    sq_bwd = eg.sum_(eg.mul(diff_bwd, diff_bwd), axis=1)
-    term_bwd = eg.sum_(eg.mul(sq_bwd, Tensor(np.concatenate(weights))))
-    return eg.add(term_fwd, term_bwd)
+    def bwd(g):
+        g_f, g_b = g * s, (g * weights) * d_b
+        # one flat scatter into cell row * 3 + col; each cell still sums
+        # its terms in target order
+        scatter = np.zeros_like(p)
+        np.add.at(scatter.reshape(-1), (3 * rows + np.arange(3)[:, None]).reshape(-1),
+                  (g_b + g_b).reshape(-1))
+        return [(pred, (g_f * d_f + g_f * d_f) + scatter)]
+
+    return eg._make(loss, (pred,), bwd)
 
 
 def _pred_to_points(pred, centers):

@@ -4,10 +4,14 @@ Each test prints exactly one ``[criterion NN] name: PASS/FAIL`` line directly
 to the terminal (bypassing capture) so the gate's verdict is visible in any
 log of the run.  The two training criteria (6, 7) run once in session-scoped
 fixtures; criterion 8 evaluates the criterion-7 checkpoint and criterion 11
-repeats both runs to prove bitwise determinism.
+repeats both runs in a fresh interpreter, alongside them, to prove bitwise
+determinism.
 """
 
+import multiprocessing
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,13 +71,54 @@ def run_decoder_overfit():
     return clouds, model, schedule, curve, ckpts, recons
 
 
+# how long criterion 11 waits for the rerun still training when it starts
+_RERUN_TIMEOUT_S = 900
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _rerun(conn):
+    """Criteria 6 and 7 rerun, sent as criterion 11 compares them: curves,
+    checkpoint windows, every parameter and every reconstruction."""
+    model6, curve6 = run_encoder_overfit()
+    _, model7, _, curve7, ckpts7, recons7 = run_decoder_overfit()
+    conn.send((curve6, {k: t.data for k, t in model6.params.items()},
+               curve7, ckpts7, {k: t.data for k, t in model7.params.items()},
+               [r.points for r in recons7]))
+    conn.close()
+
+
 @pytest.fixture(scope="session")
-def encoder_overfit():
+def determinism_rerun(request):
+    """Criterion 11's rerun of criteria 6 and 7: a spawned child with BLAS
+    on one thread, started before either training fixture runs so that it
+    trains alongside them.  Yields (process, receiving end of its pipe), or
+    None when criterion 11 is not selected (``-m "not slow"``); a child
+    still running at the end of the session is stopped."""
+    if not any(item.originalname == "test_criterion_11_determinism"
+               for item in request.session.items):
+        yield None
+        return
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_rerun, args=(sender,), name="criterion-11-rerun")
+    # BLAS on one thread in the child: numpy reads these once, at import
+    with mock.patch.dict(os.environ, {name: "1" for name in _BLAS_THREAD_VARS}):
+        process.start()
+    sender.close()  # the child holds the only sending end: its exit is EOF here
+    yield process, receiver
+    if process.is_alive():
+        process.terminate()
+    process.join()
+    receiver.close()
+
+
+@pytest.fixture(scope="session")
+def encoder_overfit(determinism_rerun):
     return run_encoder_overfit()
 
 
 @pytest.fixture(scope="session")
-def decoder_overfit():
+def decoder_overfit(determinism_rerun):
     return run_decoder_overfit()
 
 
@@ -147,11 +192,12 @@ def test_criterion_03_gradient_suite(capfd):
             lambda t: eg.sum_(eg.mul(eg.softmax(t), Tensor(C))),
             lambda t: eg.sum_(eg.mul(eg.gelu(t), Tensor(C))),
             lambda t: eg.sum_(eg.mul(eg.layer_norm(t), Tensor(C))),
-            lambda t: eg.sum_(eg.mul(eg.embedding_lookup(t, np.array([0, 2, 2])),
-                                     eg.embedding_lookup(t, np.array([0, 2, 2])))),
+            # the Chamfer loss's one node, on a ragged batch: two target sizes
+            lambda t: chamfer_loss(eg.reshape(t, (2, 2, 3)), ragged),
             lambda t: eg.sum_(eg.mul(eg.max_pool(t, axis=0), Tensor(C[0]))),
         ]
         C = rng.normal(size=(3, 4))
+        ragged = [np.random.default_rng(31).normal(size=(m, 3)) for m in (3, 5)]
         for f in cases:
             worst = max(worst, grad_check(f, Tensor(rng.normal(size=(3, 4)))))
 
@@ -375,17 +421,26 @@ def test_criterion_10_codec(capfd, sphere_cloud):
 
 
 @pytest.mark.slow
-def test_criterion_11_determinism(capfd, encoder_overfit, decoder_overfit):
+def test_criterion_11_determinism(capfd, encoder_overfit, decoder_overfit, determinism_rerun):
+    process, receiver = determinism_rerun
+    try:
+        rerun = receiver.recv() if receiver.poll(_RERUN_TIMEOUT_S) else None
+    except EOFError:  # the child failed or was killed before it sent
+        rerun = None
+    process.join(timeout=60)
+    if rerun is None or process.is_alive() or process.exitcode != 0:
+        state = "still running" if process.is_alive() else f"exited with code {process.exitcode}"
+        report(capfd, 11, "determinism (criteria 6-7 rerun bitwise identical)", False,
+               f"rerun process {state}, {'with' if rerun is not None else 'without'} a result")
+    curve6b, params6b, curve7b, ckpts7b, params7b, recons7b = rerun
+
     model6, curve6 = encoder_overfit
-    model6b, curve6b = run_encoder_overfit()
-    ok = curve6 == curve6b
-    ok &= all(np.array_equal(model6.params[k].data, model6b.params[k].data)
-              for k in model6.params)
+    ok = curve6 == curve6b and model6.params.keys() == params6b.keys()
+    ok &= all(np.array_equal(model6.params[k].data, params6b[k]) for k in model6.params)
 
     clouds, model7, schedule, curve7, ckpts7, recons7 = decoder_overfit
-    _, model7b, _, curve7b, ckpts7b, recons7b = run_decoder_overfit()
-    ok &= curve7 == curve7b and ckpts7 == ckpts7b
-    ok &= all(np.array_equal(model7.params[k].data, model7b.params[k].data)
-              for k in model7.params)
-    ok &= all(np.array_equal(a.points, b.points) for a, b in zip(recons7, recons7b))
+    ok &= curve7 == curve7b and ckpts7 == ckpts7b and model7.params.keys() == params7b.keys()
+    ok &= all(np.array_equal(model7.params[k].data, params7b[k]) for k in model7.params)
+    ok &= len(recons7) == len(recons7b)
+    ok &= all(np.array_equal(a.points, b) for a, b in zip(recons7, recons7b))
     report(capfd, 11, "determinism (criteria 6-7 rerun bitwise identical)", ok)

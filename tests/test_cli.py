@@ -134,6 +134,9 @@ def test_bad_config_key_exits_2(tmp_path, workspace, capsys):
     ("train-decoder", "run", "target_points = many"),
     ("train-encoder", "train", "seed = -1"),
     ("train-decoder", "train", "seed = -1"),
+    ("train-encoder", "train", "lr = nan"),
+    ("train-decoder", "train", "lr = nan"),
+    ("train-encoder", "train", "remask_every = -1"),
 ])
 def test_malformed_config_value_exits_2(workspace, capsys, command, section, line):
     ws, config, dec_config = workspace

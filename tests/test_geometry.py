@@ -322,6 +322,42 @@ def test_nearest_indices_ties_go_to_lowest_index(a, b, block_elems):
     _assert_nearest_matches_dense(a, b)
 
 
+def _batch_pairs(elements, max_items=5, max_points=20):
+    """B = 1..5 items of n points against B items of m points."""
+    def batch(items, points):
+        return st.lists(elements, min_size=items * points * 3, max_size=items * points * 3).map(
+            lambda v: np.array(v, dtype=np.float64).reshape(items, points, 3))
+    return st.tuples(st.integers(1, max_items), st.integers(1, max_points),
+                     st.integers(1, max_points)).flatmap(
+        lambda s: st.tuples(batch(s[0], s[1]), batch(s[0], s[2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([_coords, _grid]).flatmap(_batch_pairs),
+       st.sampled_from([np.float64, np.float32]), st.one_of(st.none(), st.integers(1, 50)),
+       st.booleans())
+def test_batched_nearest_indices_equal_each_items_dense_argmin(pair, dtype, block_elems, outlier):
+    # every item of a batch is searched as if alone: grid items full of
+    # duplicate points, small block budgets that split the rows, and at
+    # 64 bit a last item past float32's range beside normal ones
+    a, b = pair[0].astype(dtype), pair[1].astype(dtype)
+    if outlier and dtype == np.float64:
+        a[-1] *= 1e39
+        b[-1] *= 1e39
+    with mock.patch.object(geo, "_NN_BLOCK_ELEMS", block_elems or geo._NN_BLOCK_ELEMS):
+        a_to_b, b_to_a = geo.nearest_indices(a, b)
+    assert a_to_b.shape == a.shape[:2] and b_to_a.shape == b.shape[:2]
+    for i in range(len(a)):
+        d2 = dense_d2(a[i], b[i])
+        assert np.array_equal(a_to_b[i], d2.argmin(axis=1))
+        assert np.array_equal(b_to_a[i], d2.argmin(axis=0))
+
+
+def test_nearest_indices_rejects_batches_of_different_lengths():
+    with pytest.raises(ShapeError, match="batches of 2 and 3"):
+        geo.nearest_indices(np.zeros((2, 4, 3)), np.zeros((3, 4, 3)))
+
+
 def test_nearest_indices_one_by_one():
     a = np.array([[0.5, -1.0, 2.0]])
     b = np.array([[3.0, 0.0, 0.0]])
@@ -337,15 +373,15 @@ def test_nearest_indices_rejects_an_empty_cloud(n, m):
 
 
 def test_nearest_indices_rows_not_a_multiple_of_block_rows(rng):
-    m = 512  # -> 128 rows per block; 300 rows leave a partial last block
+    m = 2048  # -> 128 rows per float32 block; 300 rows leave a partial last block
     a = rng.normal(size=(300, 3))
     b = rng.normal(size=(m, 3))
-    assert geo._NN_BLOCK_ELEMS // m == 128
+    assert 4 * geo._NN_BLOCK_ELEMS // m == 128
     _assert_nearest_matches_dense(a, b)
 
 
 def test_nearest_indices_one_row_blocks_above_the_budget(rng):
-    m = geo._NN_BLOCK_ELEMS + 3  # one row per block
+    m = 4 * geo._NN_BLOCK_ELEMS + 3  # one row per float32 block
     b = np.round(rng.normal(size=(m, 3)), 1)
     a = np.concatenate([b[[5, 5, m - 1]], np.round(rng.normal(size=(4, 3)), 1)])
     _assert_nearest_matches_dense(a, b)
@@ -395,15 +431,16 @@ def test_nearest_indices_offset_clouds(rng, dtype):
 
 def test_nearest_indices_rechecks_only_ambiguous_rows(rng):
     # row 1 and row 4 have two equally near points; with 3 rows per block
-    # they fall in different blocks, and only they are recomputed exactly
+    # they fall in different blocks, and only they are recomputed exactly,
+    # together, in the one recheck at the end
     b = rng.normal(size=(20, 3))
     b[7] = b[3]
     a = rng.normal(size=(6, 3))
     a[1], a[4] = b[3] + 1e-9, b[3] - 1e-9
-    with mock.patch.object(geo, "_NN_BLOCK_ELEMS", 3 * len(b)), \
+    with mock.patch.object(geo, "_NN_BLOCK_ELEMS", 3 * len(b) // 4), \
             mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
-        a_to_b = geo._nearest_rows(a, b)
-    assert [len(call.args[0]) for call in exact.call_args_list] == [1, 1]
+        a_to_b = geo._nearest_rows(a[None], b[None])[0]
+    assert [len(call.args[0]) for call in exact.call_args_list] == [2]
     assert np.array_equal(a_to_b, dense_d2(a, b).argmin(axis=1))
     assert a_to_b[1] == a_to_b[4] == 3
 
@@ -450,20 +487,47 @@ def test_near_ties_finer_than_float32_defeat_a_float32_argmin(rng):
     assert np.any(dense_d2(a.astype(np.float32), b.astype(np.float32)).argmin(axis=1) != exact)
 
 
-def test_float32_filter_settles_almost_every_training_row():
-    # the Chamfer loss's searches: 512-point clouds against noisy copies.  A
-    # filter bound that sent every row to the exact recheck would still give
-    # exact indices, only slowly; this count is what catches it
-    rechecked = []
-    for seed in range(2):
-        for kind in data_io.SYNTH_KINDS:
-            a = data_io.synth_shape(kind, 512, seed=seed).points
-            b = a + 0.01 * np.random.default_rng(seed).normal(size=a.shape)
-            for x, y in ((a, b), (b, a)):
-                with mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact:
-                    assert np.array_equal(geo._nearest_rows(x, y), dense_d2(x, y).argmin(axis=1))
-                rechecked.append(sum(len(call.args[0]) for call in exact.call_args_list))
+def _rechecked_rows(x, y):
+    """Rows the batched search of ``x`` against ``y`` recomputes exactly, per
+    item, each checked against the dense argmin.  Every recheck is a
+    ``sq_dists`` call against one item's cloud of ``y``."""
+    with mock.patch.object(geo, "sq_dists", wraps=geo.sq_dists) as exact, \
+            np.errstate(over="ignore", invalid="ignore"):  # as nearest_indices runs it
+        nearest = geo._nearest_rows(x, y)
+    for i in range(len(x)):
+        assert np.array_equal(nearest[i], dense_d2(x[i], y[i]).argmin(axis=1))
+    rows = [0] * len(x)
+    for call in exact.call_args_list:
+        (item,) = [i for i in range(len(y)) if np.array_equal(call.args[1], y[i])]
+        rows[item] += len(call.args[0])
+    return rows
+
+
+def test_float32_filter_settles_almost_every_training_row(rng):
+    # the Chamfer loss's searches: one batch of 512-point clouds against
+    # noisy copies.  A filter bound that sent every row to the exact recheck
+    # would still give exact indices, only slowly; this count is what
+    # catches it
+    a = np.stack([data_io.synth_shape(kind, 512, seed=seed).points
+                  for seed in range(2) for kind in data_io.SYNTH_KINDS])
+    b = a + 0.01 * np.stack([np.random.default_rng(seed).normal(size=a.shape[1:])
+                             for seed in range(2) for _ in data_io.SYNTH_KINDS])
+    rechecked = _rechecked_rows(a, b) + _rechecked_rows(b, a)
     assert max(rechecked) <= 10, rechecked
+    # the count sees the recheck: where float32 cannot order, it is not 0
+    x, y = _finer_than_float32(rng)
+    assert _rechecked_rows(x[None], y[None]) == [len(x)]
+
+
+def test_an_item_past_float32s_range_leaves_the_other_items_settled(rng):
+    # each item has its own centre and its own max |y|^2: the outlier item
+    # is rechecked row by row, the training-like item beside it is not
+    a = np.stack([data_io.synth_shape("torus", 256, seed=0).points, rng.normal(size=(256, 3))])
+    b = a + 0.01 * rng.normal(size=a.shape)
+    a[1], b[1] = 1e39 * a[1], 1e39 * b[1]
+    for x, y in ((a, b), (b, a)):
+        normal, outlier = _rechecked_rows(x, y)
+        assert normal <= 10 and outlier == 256
 
 
 # ---------------------------------------------------------------------------

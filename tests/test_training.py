@@ -78,6 +78,140 @@ def test_chamfer_loss_zero_at_match(rng):
     assert loss.item() == 0.0
 
 
+# the Chamfer loss against the composed graph it replaces: per-item dense
+# searches, then the engine's sub, mul, sum_, mean and add, the backward
+# term's rows gathered with a 2-D row scatter as their backward
+
+
+def _row_gather(table, rows):
+    """Rows of ``table`` (first axis); backward: ``np.add.at`` over rows."""
+    def bwd(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, rows, g)
+        return [(table, full)]
+
+    return eg._make(table.data[rows], (table,), bwd)
+
+
+def _composed_chamfer(pred, targets):
+    B, n, _ = pred.shape
+    targets = [np.asarray(target, dtype=pred.data.dtype) for target in targets]
+    matched, rows, weights = [], [], []
+    for b, target in enumerate(targets):
+        d2 = np.sum((pred.data[b][:, None] - target[None]) ** 2, axis=2)
+        matched.append(target[d2.argmin(axis=1)])
+        rows.append(d2.argmin(axis=0) + b * n)
+        weights.append(np.full(len(target), 1.0 / (B * len(target))))
+    diff_fwd = eg.sub(pred, Tensor(np.stack(matched)))
+    term_fwd = eg.mean(eg.sum_(eg.mul(diff_fwd, diff_fwd), axis=-1))
+    gathered = _row_gather(eg.reshape(pred, (B * n, 3)), np.concatenate(rows))
+    diff_bwd = eg.sub(gathered, Tensor(np.concatenate(targets)))
+    sq_bwd = eg.sum_(eg.mul(diff_bwd, diff_bwd), axis=1)
+    term_bwd = eg.sum_(eg.mul(sq_bwd, Tensor(np.concatenate(weights))))
+    return eg.add(term_fwd, term_bwd)
+
+
+def _many_magnitudes(rng, sizes):
+    """Targets spread over 16 decades around few predicted points: each
+    predicted point is the nearest of many targets, whose terms a scatter
+    that summed out of order would round differently."""
+    return [rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, size=(m, 1)) for m in sizes]
+
+
+_CHAMFER_CASES = {  # name: (B, n, target sizes or targets)
+    "one-item": (1, 40, [33]),
+    "equal-sizes": (4, 30, [30] * 4),
+    "ragged": (4, 20, [25, 9, 25, 9]),  # two size groups, interleaved
+    "repeated-rows-many-magnitudes": (2, 7, _many_magnitudes),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+@pytest.mark.parametrize("case", list(_CHAMFER_CASES))
+def test_chamfer_loss_equals_the_composed_graph(monkeypatch, rng, case, bits):
+    B, n, sizes = _CHAMFER_CASES[case]
+    targets = sizes(rng, [200] * B) if callable(sizes) else [rng.normal(size=(m, 3)) for m in sizes]
+    point = rng.normal(size=(B, n, 3))
+    calls = []
+    nearest = training.nearest_indices
+
+    def counting(a, b):
+        calls.append(len(a))
+        return nearest(a, b)
+
+    monkeypatch.setattr(training, "nearest_indices", counting)
+    results = []
+    with eg.precision(bits):
+        for loss_fn in (training.chamfer_loss, _composed_chamfer):
+            pred = Tensor(point)
+            loss = loss_fn(pred, targets)
+            results.append((loss.data, eg.backward(loss, {"pred": pred})["pred"]))
+    (loss, grad), (ref_loss, ref_grad) = results
+    assert loss.dtype == grad.dtype == np.dtype(f"float{bits}")
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+    # one batched search per target size
+    assert sorted(calls) == sorted(np.unique(list(map(len, targets)), return_counts=True)[1])
+
+
+def _interior_nodes(root):
+    """Recorded operations reachable from ``root``."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_each_training_step_records_the_loss_as_one_tape_node(monkeypatch):
+    losses = []
+    backward = eg.backward
+
+    def recording(loss, params):
+        losses.append(loss)
+        return backward(loss, params)
+
+    monkeypatch.setattr(eg, "backward", recording)
+    cfg = toy_config(timesteps=5)
+    tc = TrainConfig(epochs=1, batch_size=2)
+    enc, _ = training.pretrain_encoder(tiny_dataset(2, 96), cfg, tc)
+    training.train_decoder(tiny_dataset(2, 96), enc, tc, diffusion.build_schedule(cfg.timesteps))
+    assert len(losses) == 2  # one encoder step, one decoder step
+    for loss in losses:
+        (pred,) = loss._parents
+        assert _interior_nodes(loss) == _interior_nodes(pred) + 1
+
+
+@pytest.mark.parametrize("overrides, setting, bits", [
+    pytest.param(dict(predict_visible=True), LossSetting.MASKED_ONLY, 64,
+                 id="config2-masked-only"),
+    pytest.param(dict(predict_visible=True), LossSetting.MASKED_ONLY, 32,
+                 id="config2-masked-only-32"),
+    pytest.param(dict(), LossSetting.ENTIRE_OBJECT, 32, id="entire-object-32"),
+])
+def test_training_with_the_composed_loss_is_bitwise(monkeypatch, overrides, setting, bits):
+    # both phases, with the one-node loss and then with the composed graph
+    def train():
+        with eg.precision(bits):
+            cfg = toy_config(timesteps=5, **overrides)
+            data = tiny_dataset(3, 96)
+            enc, enc_curve = training.pretrain_encoder(
+                data, cfg, TrainConfig(epochs=2, batch_size=2))
+            model, curve, _ = training.train_decoder(
+                data, enc, TrainConfig(epochs=2, batch_size=2, seed=1, loss_setting=setting),
+                diffusion.build_schedule(cfg.timesteps))
+        return enc_curve + curve, model.params
+
+    curve, params = train()
+    monkeypatch.setattr(training, "chamfer_loss", _composed_chamfer)
+    ref_curve, ref_params = train()
+    assert curve == ref_curve
+    for name, p in params.items():
+        assert p.data.dtype == np.dtype(f"float{bits}")
+        assert np.array_equal(p.data, ref_params[name].data), name
+
+
 def test_train_config_validation():
     with pytest.raises(InvalidArgument):
         TrainConfig(epochs=0)
@@ -93,6 +227,16 @@ def test_train_config_validation():
     with pytest.raises(InvalidArgument, match="loss setting 'bogus'"):
         TrainConfig(loss_setting="bogus")
     assert TrainConfig(mask_strategy="BLOCK").mask_strategy is MaskStrategy.BLOCK
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0), ("lr", 0.0), ("remask_every", -1),
+])
+def test_train_config_rejects_a_bad_rate_or_remask_interval(field, value):
+    # a NaN rate trained to a NaN curve and returned, a negative one ran
+    # gradient ascent, and remask_every=-1 failed at epoch 1 naming the seed
+    with pytest.raises(InvalidArgument, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -565,10 +709,12 @@ def test_train_decoder_embeds_each_item_once(monkeypatch):
 
 
 def _dense_nearest(calls):
+    """A stand-in for ``nearest_indices`` on (B, n, 3) and (B, m, 3)
+    batches: the dense argmin both ways, recording each call's batch size."""
     def nearest(a, b):
         calls.append(len(a))
-        d2 = np.sum((a[:, None] - b[None]) ** 2, axis=2)
-        return d2.argmin(axis=1), d2.argmin(axis=0)
+        d2 = np.sum((a[:, :, None] - b[:, None]) ** 2, axis=3)
+        return d2.argmin(axis=2), d2.argmin(axis=1)
     return nearest
 
 
@@ -591,7 +737,9 @@ def test_training_search_equals_dense_argmin_end_to_end(monkeypatch, bits):
     calls = []
     monkeypatch.setattr(training, "nearest_indices", _dense_nearest(calls))
     dense_enc_curve, dense_curve, dense_params = train()
-    assert len(calls) == 2 * 3 * 3  # items x epochs, encoder and decoder
+    # one search per step, over the whole batch: batches of 2 and 1 items,
+    # 3 epochs, encoder and decoder
+    assert calls == [2, 1] * 3 * 2
     assert enc_curve == dense_enc_curve and curve == dense_curve
     assert params.keys() == dense_params.keys()
     for name, p in params.items():
@@ -699,17 +847,18 @@ _VARIANTS = {
 @pytest.mark.parametrize("variant", list(_VARIANTS))
 def test_batched_steps_equal_item_means(monkeypatch, variant):
     # five clouds of two sizes at batch 2: two full batches and a short last
-    # one.  With lr=0 every step sees the same weights, so a batch's loss is
-    # the mean of its items' losses at batch 1: the mask and timestep keys
-    # depend on the item, not on the batch it lands in.
+    # one.  With Adam's update left out every step sees the same weights, so
+    # a batch's loss is the mean of its items' losses at batch 1: the mask
+    # and timestep keys depend on the item, not on the batch it lands in.
     overrides, setting = _VARIANTS[variant]
     cfg = toy_config(**overrides)
     data = tiny_dataset(3, 128) + tiny_dataset(2, 160)
     encoder = Model.create(cfg, seed=0)
     schedule = diffusion.build_schedule(cfg.timesteps)
+    monkeypatch.setattr(eg, "adam_step", lambda params, grads, state, lr: None)
 
     def losses(batch_size):
-        tc = TrainConfig(epochs=1, batch_size=batch_size, lr=0.0, seed=4,
+        tc = TrainConfig(epochs=1, batch_size=batch_size, seed=4,
                          loss_setting=setting or LossSetting.ENTIRE_OBJECT)
         if setting is None:
             train = lambda: training.pretrain_encoder(data, cfg, tc)  # noqa: E731

@@ -4,8 +4,10 @@ Tensors wrap numpy arrays in the active precision: 32- or 64-bit, set by the
 POINTDIFF_PRECISION environment variable at import and switched for a block
 by ``precision(bits)``.
 Every primitive records a backward rule, except inside ``no_grad()``;
-``backward`` walks the recorded graph in reverse topological order and
-returns the gradients of the tensors it is asked for.
+``backward`` walks the recorded graph once, in reverse topological order,
+returns the gradients of the tensors it is asked for and frees the graph as
+it goes: a walked node keeps its value but drops its parents and its rule,
+and a later walk that reaches it raises ``InvalidArgument``.
 Broadcasting is the usual numpy kind restricted in practice to leading batch
 dimensions; gradients are summed back over broadcast axes.
 """
@@ -333,10 +335,23 @@ def max_pool(a, axis):
 # reverse pass
 
 
+def _walked(g):
+    raise InvalidArgument("backward: this graph was already walked and freed; record it again")
+
+
 def backward(loss, params):
     """Back-propagate from a scalar ``loss``; returns a name->gradient dict
     for the ``params`` (a name->Tensor mapping), with zeros for any tensor
-    the loss never reached."""
+    the loss never reached.
+
+    The walk consumes the graph.  Once a node has passed its gradient to its
+    parents it drops them and its rule, so every array that only the tape
+    held is freed during the walk, even while the caller still holds
+    ``loss``; its rule becomes one that raises ``InvalidArgument``, so a
+    second walk over the graph, or one through an expression built on a
+    walked node, fails rather than returning zero gradients.  Leaves
+    (parameters and constants) are left as they are.
+    """
     loss = as_tensor(loss)
     if loss.data.size != 1:
         raise InvalidArgument(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -358,7 +373,11 @@ def backward(loss, params):
     wanted = {id(t) for t in params.values()}
     reached = {}
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    # popping walks in reverse topological order and drops the list's hold
+    # on each node, so a walked node whose children have all dropped their
+    # rules is freed at once
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -370,6 +389,7 @@ def backward(loss, params):
                     grads[id(parent)] = grads[id(parent)] + pg
                 else:
                     grads[id(parent)] = pg
+            node._parents, node._backward = (), _walked
 
     return {name: reached[id(t)] if id(t) in reached else np.zeros_like(t.data)
             for name, t in params.items()}

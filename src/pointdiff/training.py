@@ -379,7 +379,9 @@ def _fit(model, prefix, patchsets, train_cfg: TrainConfig, batch_loss):
     ``(seed, _mask_key(train_cfg, epoch), i)``.  Each optimizer step takes
     one ``batch_loss(epoch, items, masks)`` over a batch's item indices and
     their masks, and one backward walk that returns the gradients of the
-    ``prefix`` parameters, the only tensors Adam updates.
+    ``prefix`` parameters, the only tensors Adam updates.  A step's loss
+    graph and gradients are released before the next step's forward pass,
+    so one tape is alive at a time.
     """
     params = {k: v for k, v in model.params.items() if k.startswith(prefix)}
     opt_state = eg.adam_init(params)
@@ -397,9 +399,9 @@ def _fit(model, prefix, patchsets, train_cfg: TrainConfig, batch_loss):
                 for i in items
             ]
             loss = batch_loss(epoch, items, masks)
-            grads = eg.backward(loss, params)
-            eg.adam_step(params, grads, opt_state, train_cfg.lr)
             epoch_losses.append(loss.item())
+            eg.adam_step(params, eg.backward(loss, params), opt_state, train_cfg.lr)
+            del loss
         curve.append(float(np.mean(epoch_losses)))
     return curve
 

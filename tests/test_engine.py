@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,26 @@ def test_no_grad_records_nothing_and_restores_on_exception():
     assert z._parents  # recording is back on after the exception
     grads = eg.backward(eg.sum_(z), {"x": x})
     assert np.allclose(grads["x"], [4.0])
+
+
+def test_backward_frees_the_walked_graph(rng):
+    w = Tensor(rng.normal(size=(4, 3)))
+    x = Tensor(rng.normal(size=(5, 4)))
+
+    def graph():
+        hidden = eg.gelu(eg.matmul(x, w))
+        # once this returns, the hidden value is held by the graph alone
+        return eg.mean(eg.mul(hidden, hidden)), weakref.ref(hidden.data)
+
+    loss, ref = graph()
+    assert ref() is not None
+    grads = eg.backward(loss, {"w": w})
+    assert ref() is None  # freed by the walk while the caller holds ``loss``
+    assert loss._parents == () and np.isfinite(loss.item())
+    with pytest.raises(InvalidArgument, match="already walked"):
+        eg.backward(loss, {"w": w})  # a second walk, not silent zeros
+    with pytest.raises(InvalidArgument, match="already walked"):
+        eg.backward(eg.add(eg.scale(loss, 2.0), eg.sum_(w)), {"w": w})
+    # the leaves are untouched: a fresh graph over the same parameter
+    assert np.array_equal(eg.backward(graph()[0], {"w": w})["w"], grads["w"])
+    assert np.any(grads["w"])

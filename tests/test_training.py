@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import grad_check, toy_config
-from pointdiff import data_io, diffusion, engine as eg, training
+from pointdiff import data_io, diffusion, engine as eg, tasks, training
 from pointdiff.engine import Tensor
 from pointdiff.errors import (
     CorruptCheckpoint,
@@ -155,21 +156,24 @@ def test_chamfer_loss_equals_the_composed_graph(monkeypatch, rng, case, bits):
 
 def _interior_nodes(root):
     """Recorded operations reachable from ``root``."""
-    seen, stack = set(), [root]
+    seen, stack, nodes = set(), [root], []
     while stack:
         node = stack.pop()
         if id(node) not in seen and node._parents:
             seen.add(id(node))
+            nodes.append(node)
             stack.extend(node._parents)
-    return len(seen)
+    return nodes
 
 
 def test_each_training_step_records_the_loss_as_one_tape_node(monkeypatch):
-    losses = []
+    steps = []
     backward = eg.backward
 
     def recording(loss, params):
-        losses.append(loss)
+        # the walk frees the graph, so it is read before backward runs
+        (pred,) = loss._parents
+        steps.append(len(_interior_nodes(loss)) == len(_interior_nodes(pred)) + 1)
         return backward(loss, params)
 
     monkeypatch.setattr(eg, "backward", recording)
@@ -177,10 +181,45 @@ def test_each_training_step_records_the_loss_as_one_tape_node(monkeypatch):
     tc = TrainConfig(epochs=1, batch_size=2)
     enc, _ = training.pretrain_encoder(tiny_dataset(2, 96), cfg, tc)
     training.train_decoder(tiny_dataset(2, 96), enc, tc, diffusion.build_schedule(cfg.timesteps))
-    assert len(losses) == 2  # one encoder step, one decoder step
-    for loss in losses:
-        (pred,) = loss._parents
-        assert _interior_nodes(loss) == _interior_nodes(pred) + 1
+    assert steps == [True, True]  # one encoder step, one decoder step
+
+
+@pytest.mark.parametrize("phase", ["encoder", "decoder"])
+def test_a_training_step_holds_one_tape(monkeypatch, phase):
+    # weak references to step k's tape values and gradients, taken around
+    # its backward, are dead once step k + 1 computes its loss: the forward
+    # pass of one step never runs beside the graph of the one before
+    cfg = toy_config(timesteps=5)
+    data = tiny_dataset(4, 96)
+    tc = TrainConfig(epochs=2, batch_size=2)
+    backward, chamfer = eg.backward, training.chamfer_loss
+    previous, checked = [], []
+
+    def all_dead():
+        return all(ref() is None for ref in previous)
+
+    def recording(loss, params):
+        if previous:
+            checked.append(all_dead())
+        previous[:] = [weakref.ref(node.data) for node in _interior_nodes(loss)]
+        grads = backward(loss, params)
+        previous.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    def loss_fn(pred, targets):
+        if previous:
+            checked.append(all_dead())
+        return chamfer(pred, targets)
+
+    monkeypatch.setattr(eg, "backward", recording)
+    monkeypatch.setattr(training, "chamfer_loss", loss_fn)
+    if phase == "encoder":
+        training.pretrain_encoder(data, cfg, tc)
+    else:
+        training.train_decoder(data, Model.create(cfg, seed=0), tc,
+                               diffusion.build_schedule(cfg.timesteps))
+    # four steps: each of the last three checked at its loss and its backward
+    assert len(previous) > 30 and checked == [True] * 6
 
 
 @pytest.mark.parametrize("overrides, setting, bits", [
@@ -555,6 +594,33 @@ def test_pretrain_encoder_deterministic():
     _, c1 = training.pretrain_encoder(tiny_dataset(), cfg, tc)
     _, c2 = training.pretrain_encoder(tiny_dataset(), cfg, tc)
     assert c1 == c2
+
+
+def test_the_32_bit_lane_trains_and_reloads_bitwise(tmp_path):
+    # both phases twice under precision(32), then a checkpoint round trip:
+    # the float32 payload holds 32-bit parameters exactly
+    with eg.precision(32):
+        cfg = toy_config(timesteps=5)
+        data = tiny_dataset(3, 96)
+        schedule = diffusion.build_schedule(cfg.timesteps)
+
+        def train():
+            enc, enc_curve = training.pretrain_encoder(
+                data, cfg, TrainConfig(epochs=2, batch_size=2, seed=3))
+            model, curve, _ = training.train_decoder(
+                data, enc, TrainConfig(epochs=2, batch_size=2, seed=3), schedule)
+            return model, enc_curve + curve
+
+        (model, curve), (again, curve_again) = train(), train()
+        assert curve == curve_again and all(np.isfinite(curve))
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, again.params[name].data)
+        training.save_checkpoint(tmp_path / "m.ckpt", cfg, model.params)
+        loaded = training.load_model(tmp_path / "m.ckpt")
+        out = tasks.reconstruct(data[0], model, schedule, seed=2).points
+        reloaded = tasks.reconstruct(data[0], loaded, schedule, seed=2).points
+    assert np.array_equal(reloaded, out)
 
 
 def test_pretrain_rejects_small_clouds():

@@ -10,6 +10,14 @@ it goes: a walked node keeps its value but drops its parents and its rule,
 and a later walk that reaches it raises ``InvalidArgument``.
 Broadcasting is the usual numpy kind restricted in practice to leading batch
 dimensions; gradients are summed back over broadcast axes.
+
+Arrays are read-only to everyone but the call that allocated them.  A
+primitive, forward or backward, writes only into arrays it allocated in that
+call: never into an input's data, nor into the incoming gradient, which may
+be the very array another rule receives (``add`` hands its own to both
+parents).  An output may be the very array its backward reads
+(``layer_norm`` returns x̂), so no caller writes into ``Tensor.data`` either;
+rebinding it to a new array, as ``adam_step`` does, is fine.
 """
 
 from __future__ import annotations
@@ -67,7 +75,10 @@ class Tensor:
         return self.data.shape
 
     def item(self):
-        return float(self.data)
+        """The value of a one-element tensor of any rank, as a python float."""
+        if self.data.size != 1:
+            raise ShapeError(f"item: needs a one-element tensor, got shape {self.data.shape}")
+        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -286,35 +297,65 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a):
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU.
+
+    The forward allocates the two arrays the tape keeps, ``cdf`` and the
+    output, and the backward only the gradient it returns; each runs the
+    numpy operations of ``0.5 * (1 + erf(x / √2))``, ``x * cdf`` and
+    ``g * (cdf + x * pdf)`` in that order and dtype, so the values are
+    bitwise those of the plain expressions (IEEE ``*`` and ``+`` commute)."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    data = (x * cdf).astype(x.dtype)
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return [(a, g * (cdf + x * pdf).astype(x.dtype))]
+        # pdf = exp(-0.5 * x * x) / √(2π), then cdf + x * pdf, then g * that
+        grad = np.multiply(x, -0.5)
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI
+        grad *= x
+        grad += cdf
+        # g last, as ``g * (...)``; a wider incoming gradient promotes there
+        return [(a, np.multiply(grad, g, out=grad if grad.dtype == g.dtype else None))]
 
-    return _make(data, (a,), bwd)
+    return _make(x * cdf, (a,), bwd)
 
 
 def layer_norm(a):
     """Normalize to zero mean / unit variance along the last axis (no affine,
-    eps 1e-5)."""
+    eps 1e-5).
+
+    The output is x̂ itself, the array the backward reads; the forward
+    allocates no other array of the input's size (the squared deviations
+    are formed in x̂'s buffer, which then takes the deviations again), and
+    the backward builds the gradient ``(g - mean(g) - x̂ * mean(g * x̂)) / σ``
+    in two, with the plain expressions' operations in their order."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv_std
+    x = a.data
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    xhat *= xhat
+    inv_std = xhat.mean(axis=-1, keepdims=True)
+    inv_std += 1e-5
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    np.subtract(x, mu, out=xhat)
+    xhat *= inv_std
 
     def bwd(g):
+        grad = g * xhat
+        gx = grad.mean(axis=-1, keepdims=True)
         gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return [(a, inv_std * (g - gm - xhat * gx))]
+        np.subtract(g, gm, out=grad)
+        grad -= xhat * gx
+        grad *= inv_std
+        return [(a, grad)]
 
-    return _make(xhat.astype(a.data.dtype), (a,), bwd)
+    return _make(xhat, (a,), bwd)
 
 
 def max_pool(a, axis):

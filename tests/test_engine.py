@@ -1,11 +1,16 @@
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 import pointdiff
 from conftest import grad_check
 from pointdiff import engine as eg
+from pointdiff import training
 from pointdiff.engine import Tensor
 from pointdiff.errors import InvalidArgument, ShapeError
 
@@ -56,8 +61,6 @@ def test_matmul_variants(rng):
 
 
 def test_gelu_is_erf_exact():
-    from scipy.special import erf
-
     x = np.linspace(-4, 4, 101)
     expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
     assert np.allclose(eg.gelu(Tensor(x)).data, expected, atol=1e-12)
@@ -75,6 +78,19 @@ def test_split_concat_round_trip(rng):
     a, b = eg.split(Tensor(x), [4, 3], axis=0)
     back = eg.concat([a, b], axis=0)
     assert np.array_equal(back.data, x)
+
+
+def test_item_reads_any_one_element_tensor():
+    t = Tensor(np.array([[3.0]]))
+    loss = eg.sum_(eg.mul(t, t), axis=1)  # shape (1,): backward takes it
+    assert loss.shape == (1,)
+    assert loss.item() == 9.0
+    assert eg.backward(loss, {"t": t})["t"].tolist() == [[6.0]]
+    assert Tensor(np.full((1, 1, 1), -2.5)).item() == -2.5
+    assert Tensor(1.5).item() == 1.5
+    for shape in [(2,), (0,), (1, 3)]:
+        with pytest.raises(ShapeError, match=rf"got shape \({shape[0]},"):
+            Tensor(np.ones(shape)).item()
 
 
 def test_backward_scalar_only():
@@ -211,3 +227,141 @@ def test_backward_frees_the_walked_graph(rng):
     # the leaves are untouched: a fresh graph over the same parameter
     assert np.array_equal(eg.backward(graph()[0], {"w": w})["w"], grads["w"])
     assert np.any(grads["w"])
+
+
+# ---------------------------------------------------------------------------
+# GELU and layer norm pinned bitwise to their plain expressions.  These are
+# the rules as first written, kept verbatim: every fresh temporary and the
+# trailing ``astype`` copies; the engine computes them in place.
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def reference_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    data = (x * cdf).astype(x.dtype)
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return data, g * (cdf + x * pdf).astype(x.dtype)
+
+
+def reference_layer_norm(x, g):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centered * inv_std
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return xhat.astype(x.dtype), inv_std * (g - gm - xhat * gx)
+
+
+def assert_bitwise(got, want):
+    """Equal dtype, shape and bits: unlike ``==``, tells -0 from +0 and
+    compares NaNs."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bits = np.dtype(f"u{got.dtype.itemsize}")
+    assert np.array_equal(np.atleast_1d(got).view(bits), np.atleast_1d(want).view(bits))
+
+
+# ±0, and values where erf saturates to ±1 (|x| / √2 past 3.9 at 32 bit and
+# 5.9 at 64 bit) or x * x overflows
+_SPECIAL = np.array([0.0, -0.0, 6.0, -6.0, 9.0, -9.0, 40.0, -40.0, 1e20, -1e30])
+_TOKEN_SHAPE = (8, 4, 32, 64)  # the acceptance config's per-point token layer
+
+_shapes = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(1, 5), min_size=0, max_size=3).map(lambda s: (*s, 1)),
+    st.just(_TOKEN_SHAPE),
+)
+
+
+@st.composite
+def _rule_inputs(draw):
+    """An input of rank 1-4 with magnitudes between 1e-30 and 1e30, some
+    specials, maybe transposed (non-contiguous), and an incoming gradient."""
+    shape = draw(_shapes)
+    lo = draw(st.integers(-30, 30))
+    hi = draw(st.integers(lo, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = math.prod(shape)
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lo, hi, size)
+    n_special = draw(st.integers(0, min(size, 6)))
+    x[rng.choice(size, n_special, replace=False)] = rng.choice(_SPECIAL, n_special)
+    if draw(st.booleans()):
+        x = x.reshape(shape[::-1]).T
+    else:
+        x = x.reshape(shape)
+    g = rng.normal(size=shape) * 10.0 ** draw(st.integers(-3, 3))
+    return x, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=_rule_inputs(), bits=st.sampled_from([32, 64]))
+def test_gelu_and_layer_norm_are_bitwise_their_plain_expressions(inputs, bits):
+    x, g = inputs
+    with eg.precision(bits), np.errstate(all="ignore"):
+        t = Tensor(x)
+        g = g.astype(t.data.dtype)
+        for rule, reference in ((eg.gelu, reference_gelu), (eg.layer_norm, reference_layer_norm)):
+            out = rule(t)
+            [(parent, grad)] = out._backward(g)
+            want_out, want_grad = reference(t.data, g)
+            assert parent is t
+            assert_bitwise(out.data, want_out)
+            assert_bitwise(grad, want_grad)
+
+
+def test_gelu_gradient_promotes_like_its_plain_expression(rng):
+    # a float32 node reached by a float64 gradient, as when a 32-bit graph
+    # uses a 64-bit parameter: numpy's promotion, as in ``g * (...)``
+    with eg.precision(32):
+        t = Tensor(rng.normal(size=(3, 4)))
+    g = rng.normal(size=(3, 4))
+    [(_, grad)] = eg.gelu(t)._backward(g)
+    assert_bitwise(grad, reference_gelu(t.data, g)[1])
+    assert grad.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# the read-only contract: a rule writes only into arrays it allocated
+
+WRITE_CASES = PRIMITIVE_CASES + [
+    ("chamfer_loss", lambda t, c: training.chamfer_loss(t, list(c)), (2, 5, 3)),
+]
+
+
+def _recorded_nodes(loss):
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("name,builder,shape", WRITE_CASES, ids=[c[0] for c in WRITE_CASES])
+def test_no_rule_writes_outside_what_it_allocated(name, builder, shape, rng):
+    point, coeff = rng.normal(size=shape), rng.normal(size=shape)
+    inputs = [(point, point.copy()), (coeff, coeff.copy())]
+    nodes = _recorded_nodes(builder(Tensor(point), coeff))
+    values = [(node.data, node.data.copy()) for node in nodes]
+    for array, snapshot in inputs:
+        assert_bitwise(array, snapshot)  # the forward pass wrote into no input
+    for node in nodes:
+        if node._backward is None:
+            continue
+        # one incoming gradient handed to the rule twice, as ``add`` hands
+        # one array to both its parents' rules
+        g = np.asarray(rng.normal(size=node.shape), dtype=node.data.dtype)
+        g_snapshot = g.copy()
+        first = [pg.copy() for _, pg in node._backward(g)]
+        second = [pg for _, pg in node._backward(g)]
+        assert_bitwise(g, g_snapshot)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert_bitwise(b, a)
+    for array, snapshot in values + inputs:
+        assert_bitwise(array, snapshot)

@@ -312,6 +312,8 @@ def _checked(convert, accept, expected):
 _SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _SIGMA = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_QUANT_BITS = _checked(int, lambda v: v in tasks.QUANT_BITS, "an integer in [6, 16]")
 
 
 def build_parser():
@@ -340,7 +342,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic shape")
     p.add_argument("--kind", required=True, choices=data_io.SYNTH_KINDS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--sigma", type=_SIGMA, default=0.0)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
@@ -374,7 +376,7 @@ def build_parser():
 
     p = sub.add_parser("compress", help="serialize visible patches + centers")
     common(p, "--config", "--mask-ratio", "--mask-strategy", needs_input=True)
-    p.add_argument("--quant-bits", dest="quant_bits", type=int, default=10)
+    p.add_argument("--quant-bits", dest="quant_bits", type=_QUANT_BITS, default=10)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="reconstruct a cloud from a blob")

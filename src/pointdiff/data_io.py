@@ -65,8 +65,19 @@ def _read_text(path):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _read_lines(path):
+    r"""The lines of ``_read_text(path)``, broken at ``\n`` only, without
+    the empty string after a final newline.  ``str.splitlines`` would also
+    break at form feeds, ``\x1c``-``\x1e``, ``\x85`` and U+2028/U+2029,
+    which ``str.split`` reads as spaces inside a line."""
+    lines = _read_text(path).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _load_ply(path):
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", line=1)
     n_vertex = None
@@ -124,7 +135,7 @@ def _load_ply(path):
 
 
 def _load_xyz(path):
-    lines = _read_text(path).split("\n")
+    lines = _read_lines(path)
     pts = _parse_rows(lines, (0, 1, 2), comments="#")
     if pts is not None and len(pts):
         return PointCloud(pts)
@@ -342,7 +353,7 @@ def read_manifest(path, target_points) -> DatasetManifest:
     """One entry per line: ``id<TAB>spec<TAB>split``."""
     entries = []
     seen = set()
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

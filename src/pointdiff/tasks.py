@@ -192,11 +192,14 @@ def _unpack(payload, n, q):
     return bits.reshape(n, 3, q) @ (1 << np.arange(q - 1, -1, -1))
 
 
+QUANT_BITS = range(6, 17)  # the bits per axis a blob may carry
+
+
 def compress(cloud: PointCloud, model_cfg, mask_seed=0, quant_bits=10,
              mask_strategy="random") -> bytes:
     """Segment, mask and serialize the visible coordinates + all centers,
     uniformly quantized over the bounding box at ``quant_bits`` per axis."""
-    if not 6 <= quant_bits <= 16:
+    if quant_bits not in QUANT_BITS:
         raise InvalidArgument(f"quant_bits must be in [6, 16], got {quant_bits}")
     cfg = model_cfg
     centers, mask, visible = _visible_patches(cloud, cfg, cfg.mask_ratio, mask_strategy,
@@ -233,7 +236,7 @@ def parse_blob(raw: bytes) -> CompressedBlob:
     mask_bytes = (num_groups + 7) // 8
     if len(body) < off + mask_bytes:
         raise CorruptBlob("blob truncated inside the mask")
-    if not 6 <= q <= 16:
+    if q not in QUANT_BITS:
         raise CorruptBlob(f"quant_bits {q} outside [6, 16]")
     indicator = np.unpackbits(
         np.frombuffer(raw[off : off + mask_bytes], dtype=np.uint8)

@@ -47,7 +47,7 @@ _MAGIC = b"PDCK"
 _VERSION = 1
 _MAX_NDIM = 32  # numpy 1.x's array rank limit; saved tensors have rank <= 3
 _DIGEST_BYTES = 32  # the sha256 digest that ends every file
-_CHUNK_BYTES = 1 << 16  # read size when hashing past a rejected header
+_CHUNK_BYTES = 1 << 16  # the staging buffer every tensor is read through
 
 
 class LossSetting(Enum):
@@ -220,12 +220,15 @@ class _HashedBody:
     """The body of an open checkpoint file, that is all of it but the
     trailing digest, read front to back once.  Each read is checked against
     the body's size before anything is allocated, and every byte read goes
-    into one incremental sha256."""
+    into one incremental sha256.  Tensors, and the rest of the body when
+    the header is rejected, pass through one ``_CHUNK_BYTES`` staging
+    buffer."""
 
     def __init__(self, fh, path):
         size = os.fstat(fh.fileno()).st_size
         self.fh, self.path, self.size, self.off = fh, path, size - _DIGEST_BYTES, 0
         self.sha = hashlib.sha256()
+        self.stage = memoryview(bytearray(_CHUNK_BYTES))
         if size < 12 + _DIGEST_BYTES or self.take(4) != _MAGIC:
             raise CorruptCheckpoint(f"{path}: not a checkpoint file")
 
@@ -247,20 +250,26 @@ class _HashedBody:
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
 
-    def array(self, shape):
-        """The next stored tensor, read into its own ``<f4`` array."""
-        self._claim(4 * math.prod(shape))
-        out = np.empty(shape, dtype="<f4")
-        self._fill(out.reshape(-1).view(np.uint8))
+    def array(self, shape, dtype):
+        """The next stored tensor as a new ``dtype`` array, its whole length
+        claimed first and then filled chunk by chunk from the staging
+        buffer.  Widening ``<f4`` to float64 is exact."""
+        size = math.prod(shape)
+        self._claim(4 * size)
+        out = np.empty(shape, dtype=dtype)
+        flat, staged = out.reshape(-1), np.frombuffer(self.stage, dtype="<f4")
+        for start in range(0, size, len(staged)):
+            n = min(len(staged), size - start)
+            self._fill(self.stage[: 4 * n])
+            flat[start : start + n] = staged[:n]
         return out
 
     def verify(self):
         """Hash the rest of the body, then compare the stored digest."""
-        buf = memoryview(bytearray(min(_CHUNK_BYTES, self.size - self.off)))
         while self.off < self.size:
-            n = min(len(buf), self.size - self.off)
+            n = min(len(self.stage), self.size - self.off)
             self._claim(n)
-            self._fill(buf[:n])
+            self._fill(self.stage[:n])
         if self.fh.read(_DIGEST_BYTES) != self.sha.digest():
             raise CorruptCheckpoint(f"{self.path}: digest mismatch")
 
@@ -313,9 +322,9 @@ def load_model(path) -> Model:
     """Rebuild a Model from a checkpoint in one pass over the file.
 
     The config and the manifest's names and shapes are checked against
-    ``model.param_layout`` before any tensor is read, and each tensor is
-    converted to the active dtype as it is read, so peak memory is the
-    model plus one stored tensor.
+    ``model.param_layout`` before any tensor is read.  Each tensor is
+    allocated in the active dtype and filled through one 64 KiB staging
+    buffer, so beyond the model memory holds that buffer and the header.
     """
     with _checkpoint_body(path) as body:
         meta, manifest = _read_header(body)
@@ -324,7 +333,7 @@ def load_model(path) -> Model:
             layout = _check_layout(cfg, manifest)
         except InvalidArgument as exc:
             raise CorruptCheckpoint(f"{path}: {exc}") from exc
-        params = {name: eg.Tensor(body.array(shape)) for name, shape in manifest}
+        params = {name: eg.Tensor(body.array(shape, eg.get_dtype())) for name, shape in manifest}
     return Model(cfg=cfg, params={name: params[name] for name in layout})
 
 

@@ -288,6 +288,30 @@ def test_synth_sigma_must_be_finite_and_non_negative(tmp_path, capsys, sigma):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3", "1.5", "x"])
+def test_synth_n_must_be_a_positive_integer(tmp_path, capsys, n):
+    out = tmp_path / "s.ply"
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--kind", "sphere", f"--n={n}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --n: expected an integer >= 1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("bits", ["0", "5", "17", "40", "-1", "x"])
+def test_compress_quant_bits_must_be_in_the_codec_range(tmp_path, capsys, bits):
+    cloud = tmp_path / "c.xyz"
+    data_io.save_cloud(data_io.synth_shape("sphere", 64, seed=1), cloud)
+    out = tmp_path / "c.dpc"
+    with pytest.raises(SystemExit) as exc:
+        run(["compress", "--in", str(cloud), f"--quant-bits={bits}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --quant-bits: expected an integer in [6, 16]" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_non_utf8_cloud_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.xyz"
     bad.write_bytes(b"0 0 0\n\xff1 2 3\n")

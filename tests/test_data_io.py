@@ -317,7 +317,7 @@ def _old_ply(path):
     """The PLY body as the per-row loop read it (header fields parsed
     just enough for the files below)."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
     body_start = lines.index("end_header") + 1
     n_vertex = int(lines[2].split()[2])
     props = [line.split()[-1] for line in lines[3 : body_start - 1]]
@@ -440,6 +440,33 @@ _XYZ_TEXTS = {
 @pytest.mark.parametrize("case", list(_XYZ_TEXTS))
 def test_xyz_reader_matches_row_loop(tmp_path, case):
     _assert_readers_match_row_loops(tmp_path / "c.xyz", _XYZ_TEXTS[case])
+
+
+# characters ``str.splitlines`` breaks at but ``str.split`` reads as spaces
+_NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_NEWLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_ply_and_xyz_break_lines_at_newline_only(tmp_path, sep):
+    ply, xyz = tmp_path / "c.ply", tmp_path / "c.xyz"
+    # a header comment holding another count does not override the declared one
+    text = _ply_text(["0 0 0", "1 1 1", "2 2 2"]).replace(
+        "end_header", f"comment scan{sep}element vertex 2\nend_header")
+    ply.write_bytes(text.encode())
+    assert len(data_io.load_cloud(ply)) == 3
+    # one row, read as one vertex by both readers
+    ply.write_bytes(_ply_text([f"0 0 0{sep}1 1 1"]).encode())
+    xyz.write_bytes(f"0 0 0{sep}1 1 1\n".encode())
+    for path in (ply, xyz):
+        assert data_io.load_cloud(path).points.tolist() == [[0, 0, 0]]
+    ply.write_bytes(_ply_text([f"0 0 0{sep}1 1 1"], n_vertex=2).encode())
+    with pytest.raises(ParseError, match="vertex count 2 outside") as exc:
+        data_io.load_cloud(ply)
+    assert exc.value.line == 3
+    # a line number counts newlines only
+    ply.write_bytes(_ply_text([f"1 2 3{sep}", "4 five 6"]).encode())
+    xyz.write_bytes(f"1 2 3{sep}\n4 five 6\n".encode())
+    assert [_outcome(data_io.load_cloud, path)[2] for path in (ply, xyz)] == [9, 2]
 
 
 _tokens = st.sampled_from(["1", "-2.5", "3e2", ".5", "+1.", "1_0", "nan", "-inf", "1e500",

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import struct
 import tracemalloc
 import weakref
@@ -560,6 +562,80 @@ def test_tensor_larger_than_the_file_is_rejected_before_allocation(tmp_path):
     err, peak = _traced_peak(lambda: training.load_model(path))
     assert isinstance(err, CorruptCheckpoint)
     assert peak < 1 << 20
+
+
+def _watch_reads(monkeypatch, shrink_at=None):
+    """Open ``load_model``'s file through a reader that records the size of
+    every ``readinto``; with ``shrink_at``, the file is cut to that many
+    bytes just before the first read that would pass it.  Returns the list
+    of sizes."""
+    sizes = []
+
+    class Reader(io.BufferedReader):
+        def readinto(self, buf):
+            n = memoryview(buf).nbytes
+            sizes.append(n)
+            if shrink_at is not None and self.tell() + n > shrink_at:
+                os.truncate(self.raw.name, shrink_at)
+            return super().readinto(buf)
+
+    monkeypatch.setattr(training, "open", lambda path, mode: Reader(io.FileIO(path, mode)),
+                        raising=False)
+    return sizes
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_load_model_fills_each_tensor_through_one_chunk(tmp_path, monkeypatch, bits):
+    with eg.precision(bits):
+        cfg = toy_config(latent_width=128, enc_blocks=2, dec_blocks=2)
+        model = Model.create(cfg, seed=1)
+        path = tmp_path / "m.ckpt"
+        training.save_checkpoint(path, cfg, model.params)
+        sizes = [p.data.size for p in model.params.values()]
+        model_bytes = np.dtype(eg.get_dtype()).itemsize * sum(sizes)
+        assert 4 * max(sizes) > training._CHUNK_BYTES
+        reads = _watch_reads(monkeypatch)
+        _, peak = _traced_peak(lambda: training.load_model(path))
+    assert max(reads) <= training._CHUNK_BYTES
+    header = path.stat().st_size - 32 - 4 * sum(sizes)
+    # beyond the parameters: the staging chunk, the header, and per tensor
+    # the Python objects that hold it (Tensor, array, name, shape, dict slots)
+    assert peak <= model_bytes + training._CHUNK_BYTES + header + 1024 * len(sizes)
+
+
+def test_a_file_that_shrinks_inside_a_tensor_is_corrupt(tmp_path, monkeypatch):
+    cfg = toy_config(latent_width=128)
+    model = Model.create(cfg, seed=1)
+    path = tmp_path / "m.ckpt"
+    training.save_checkpoint(path, cfg, model.params)
+    sizes = [model.params[name].data.size for name in sorted(model.params)]  # file order
+    big = int(np.argmax(sizes))
+    start = path.stat().st_size - 32 - 4 * sum(sizes) + 4 * sum(sizes[:big])
+    cut = start + training._CHUNK_BYTES + 6  # inside the second chunk of the largest tensor
+    assert 4 * sizes[big] > cut - start
+    _watch_reads(monkeypatch, shrink_at=cut)
+    with pytest.raises(CorruptCheckpoint, match="file shrank while it was read") as exc:
+        training.load_model(path)
+    assert type(exc.value) is CorruptCheckpoint
+    assert path.stat().st_size == cut
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_tensors_spanning_several_chunks_reload_bitwise(tmp_path, bits):
+    cfg = toy_config(latent_width=96)
+    with eg.precision(bits):
+        model = Model.create(cfg, seed=2)
+        training.save_checkpoint(tmp_path / "m.ckpt", cfg, model.params)
+        reloaded = training.load_model(tmp_path / "m.ckpt")
+    per_chunk = training._CHUNK_BYTES // 4
+    sizes = [p.data.size for p in model.params.values()]
+    # fc1 holds 96 * 384 = 36864 values: two whole chunks and part of a third
+    assert any(size > 2 * per_chunk and size % per_chunk for size in sizes)
+    assert any(size < per_chunk for size in sizes)
+    for name, param in model.params.items():
+        got = reloaded.params[name].data
+        assert got.dtype == param.data.dtype
+        assert got.tobytes() == param.data.astype(np.float32).astype(got.dtype).tobytes()
 
 
 def test_failed_save_leaves_no_tmp_file(tmp_path):
